@@ -59,7 +59,6 @@ from repro.experiments.report import format_measurements
 from repro.service.http import create_server
 from repro.service.service import DEFAULT_MAX_PAGE_SIZE, SearchService
 from repro.storage.corpus import Corpus
-from repro.storage.sharded import ShardedCorpus
 
 __all__ = ["build_parser", "main"]
 
@@ -198,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="file the background re-snapshot writes to "
         "(default: the --snapshot file the corpus was loaded from)",
     )
-    _add_shards_argument(serve)
 
     figure4 = subparsers.add_parser("figure4", help="regenerate the Figure 4 experiment")
     figure4.add_argument("--size-limit", type=int, default=5, help="DFS size bound L")
@@ -222,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="zlib-compress individual document records (v2 only)",
     )
-    _add_shards_argument(save_snapshot)
 
     lint = subparsers.add_parser(
         "lint",
@@ -230,17 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_lint_arguments(lint)
     return parser
-
-
-def _add_shards_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=None,
-        help="partition the corpus across N shards (parallel shard build, "
-        "fan-out query engine; save-snapshot writes a manifest plus one v2 "
-        "file per shard — a manifest loaded via --snapshot is already sharded)",
-    )
 
 
 def _add_corpus_arguments(parser: argparse.ArgumentParser) -> None:
@@ -278,27 +264,12 @@ def _add_corpus_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_corpus(arguments: argparse.Namespace):
+def _load_corpus(arguments: argparse.Namespace) -> Corpus:
     if arguments.snapshot:
-        corpus = Corpus.load(
-            arguments.snapshot, max_materialised=arguments.max_materialised
-        )
-    elif arguments.corpus_dir:
-        corpus = Corpus.from_directory(arguments.corpus_dir)
-    else:
-        corpus = _DATASETS[arguments.dataset]()
-    shards = getattr(arguments, "shards", None)
-    if shards:
-        if isinstance(corpus, ShardedCorpus):
-            raise ReproError(
-                f"snapshot {arguments.snapshot} is already a shard manifest; "
-                "--shards cannot reshard it (rebuild from a dataset or corpus "
-                "directory instead)"
-            )
-        # Process-pool build with automatic thread fallback — the CLI paths
-        # are where corpora get big enough for the parallel build to matter.
-        corpus = ShardedCorpus.from_corpus(corpus, shards, parallel="process")
-    return corpus
+        return Corpus.load(arguments.snapshot, max_materialised=arguments.max_materialised)
+    if arguments.corpus_dir:
+        return Corpus.from_directory(arguments.corpus_dir)
+    return _DATASETS[arguments.dataset]()
 
 
 def _command_search(arguments: argparse.Namespace, out) -> int:
@@ -387,10 +358,7 @@ def _command_serve(arguments: argparse.Namespace, out) -> int:
     )
     server = create_server(service, host=arguments.host, port=arguments.port, out=out)
     host, port = server.server_address[:2]
-    store_stats = corpus.store.stats()
-    backend = store_stats["backend"]
-    if backend == "sharded":
-        backend = f"sharded[{store_stats['shard_count']}]"
+    backend = corpus.store.stats()["backend"]
     mode = "writable" if arguments.writable else "read-only"
     print(
         f"serving corpus {corpus.name!r} ({len(corpus.store)} documents, {backend} store, "
@@ -430,19 +398,9 @@ def _command_save_snapshot(arguments: argparse.Namespace, out) -> int:
     written = corpus.save(
         arguments.output, format=format_version, compress=arguments.compress
     )
-    size = written.stat().st_size
-    layout = f"format {arguments.format}"
-    if isinstance(corpus, ShardedCorpus):
-        # The manifest is tiny; report the full footprint including the
-        # per-shard v2 files written next to it.
-        size += sum(
-            (written.parent / f"{written.name}.shard{index}").stat().st_size
-            for index in range(corpus.shard_count)
-        )
-        layout = f"{corpus.shard_count}-shard manifest, {layout}"
     print(
         f"snapshot of corpus {corpus.name!r} ({len(corpus.store)} documents, "
-        f"{size} bytes, {layout}) written to {written}",
+        f"{written.stat().st_size} bytes, format {arguments.format}) written to {written}",
         file=out,
     )
     return 0

@@ -103,11 +103,16 @@ def removable_types(dfs: DFS) -> List[FeatureStatistics]:
 
     A row may be removed iff its occurrence count equals the minimum count
     among the selected rows of its entity (it is a "least significant selected"
-    row), so that what remains is still a top-k prefix.
+    row), so that what remains is still a top-k prefix.  Entities are visited
+    in the source's insertion order, like :func:`addable_types`: callers keep
+    the first of equally good moves, so a set's per-process hash order here
+    would make the chosen DFS depend on ``PYTHONHASHSEED``.
     """
     candidates: List[FeatureStatistics] = []
-    for entity in {row.feature.entity for row in dfs.rows()}:
+    for entity in dfs.source.entities():
         selected_rows = dfs.rows_for_entity(entity)
+        if not selected_rows:
+            continue
         worst = min(row.occurrences for row in selected_rows)
         candidates.extend(row for row in selected_rows if row.occurrences == worst)
     return candidates

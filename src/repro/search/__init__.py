@@ -23,7 +23,6 @@ scratch:
 
 from repro.search.elca import compute_elca, compute_elca_scan
 from repro.search.engine import SearchEngine
-from repro.search.sharded_engine import ShardedSearchEngine
 from repro.search.query import KeywordQuery
 from repro.search.ranking import rank_results, tf_idf_score
 from repro.search.result import SearchResult, SearchResultSet
@@ -51,7 +50,6 @@ __all__ = [
     "SearchResult",
     "SearchResultSet",
     "SearchEngine",
-    "ShardedSearchEngine",
     "rank_results",
     "tf_idf_score",
     "register_semantics",

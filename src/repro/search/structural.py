@@ -273,7 +273,7 @@ def _apply_within(
     for step in within:
         tag_id = table.tags.lookup(step)
         if tag_id is None:
-            return []  # the tag occurs nowhere in the (indexed) corpus shard
+            return []  # the tag occurs nowhere in the (indexed) corpus
         path_tag_ids.append(tag_id)
     anchored = set()
     for pre in matches:

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import logging
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
@@ -82,6 +83,8 @@ from repro.service.protocol import CompareRequest, IngestRequest, SearchRequest
 from repro.service.service import SearchService
 
 __all__ = ["XsactHTTPServer", "create_server"]
+
+_log = logging.getLogger(__name__)
 
 _ENDPOINTS = {
     "GET /search": (
@@ -368,7 +371,14 @@ class _Handler(BaseHTTPRequestHandler):
                 self._error(403, type(error).__name__, str(error))
             except ReproError as error:
                 self._error(400, type(error).__name__, str(error))
-            except Exception as error:  # pragma: no cover - defensive
+            except (BrokenPipeError, ConnectionResetError):
+                raise  # a vanished client, not a server fault: no 500, no log
+            except Exception as error:
+                # A bug, not a client mistake: the client gets the same terse
+                # JSON error as for any other status, the server's error
+                # stream (stdlib logging; stderr unless configured) gets the
+                # traceback.
+                _log.exception("unhandled error serving %s %s", self.command, self.path)
                 self._error(500, type(error).__name__, str(error))
         except (BrokenPipeError, ConnectionResetError):
             # The client is gone; there is no socket left to apologise on.

@@ -4,8 +4,8 @@ Everything that crosses the service boundary is one of the dataclasses below:
 plain data — strings, numbers, booleans, lists — never live
 :class:`~repro.xmlmodel.node.XMLNode` graphs or engine internals.  Each type
 carries a ``to_dict``/``from_dict`` pair forming the JSON codec; the HTTP
-front-end is a thin shell over these codecs, and any other transport (a shard
-router, a message queue) can reuse them unchanged.
+front-end is a thin shell over these codecs, and any other transport (a
+message queue, say) can reuse them unchanged.
 
 Codec contract, enforced by property tests:
 

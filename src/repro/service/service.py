@@ -4,8 +4,8 @@ The paper's demo is a web application: users issue keyword queries, page
 through ranked results, tick checkboxes and request comparison tables.  This
 module is the serving surface behind that interaction, designed so every
 front-end — the HTTP JSON API (:mod:`repro.service.http`), the CLI, the
-:class:`~repro.comparison.pipeline.Xsact` Python facade, and eventually a
-shard router — goes through the same object:
+:class:`~repro.comparison.pipeline.Xsact` Python facade — goes through the
+same object:
 
 * one shared **read-only corpus**, one lazily-created
   :class:`~repro.search.engine.SearchEngine` per *semantics* (engines pin
@@ -24,10 +24,6 @@ shard router — goes through the same object:
 * thread safety throughout: the engine guards its cache internally, the
   service guards engine creation and its request counters, and everything
   else is read-only.
-
-A future sharded deployment only has to implement this class's method
-surface over many corpora; the protocol types and front-ends carry over
-unchanged.
 """
 
 from __future__ import annotations
@@ -111,24 +107,12 @@ class _Generation:
         with self._lock:
             engine = self._engines.get(semantics)
             if engine is None:
-                # Polymorphic dispatch: the corpus knows which engine serves
-                # it (a ShardedCorpus yields a fan-out ShardedSearchEngine).
-                # The getattr fallback keeps duck-typed corpus stand-ins in
-                # tests working without the full Corpus surface.
-                factory = getattr(self.corpus, "create_engine", None)
-                if factory is not None:
-                    engine = factory(
-                        semantics=semantics,
-                        cache_size=self._cache_size,
-                        cache_max_results=self._cache_max_results,
-                    )
-                else:
-                    engine = SearchEngine(
-                        self.corpus,
-                        semantics=semantics,
-                        cache_size=self._cache_size,
-                        cache_max_results=self._cache_max_results,
-                    )
+                engine = SearchEngine(
+                    self.corpus,
+                    semantics=semantics,
+                    cache_size=self._cache_size,
+                    cache_max_results=self._cache_max_results,
+                )
                 self._engines[semantics] = engine
             return engine
 
@@ -423,7 +407,7 @@ class SearchService:
         return [result.result_id for result in result_set.top(top)]
 
     # ------------------------------------------------------------------ #
-    # Protocol API (wire callers: HTTP front-end, shard routers)
+    # Protocol API (wire callers: the HTTP front-end)
     # ------------------------------------------------------------------ #
     def search(self, request: SearchRequest) -> SearchResponse:
         """Serve one paginated search request."""
@@ -987,20 +971,13 @@ class SearchService:
             for key in aggregate:
                 aggregate[key] += snapshot[key]
         corpus = generation.corpus
-        corpus_stats: Dict[str, object] = {
-            "name": corpus.name,
-            "documents": len(corpus.store),
-            "version": corpus.version,
-            "store": corpus.store.stats(),
-        }
-        # Additive, never renaming (the wire schema is pinned by golden
-        # fixtures): a sharded backend reports its shard count here and its
-        # per-shard backend counters inside store["shards"].
-        shards = getattr(corpus, "shards", None)
-        if shards is not None:
-            corpus_stats["shard_count"] = len(shards)
         return {
-            "corpus": corpus_stats,
+            "corpus": {
+                "name": corpus.name,
+                "documents": len(corpus.store),
+                "version": corpus.version,
+                "store": corpus.store.stats(),
+            },
             "requests": {
                 "search": search_count,
                 "compare": compare_count,

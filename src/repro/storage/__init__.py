@@ -41,13 +41,6 @@ from repro.storage.term_dictionary import TermDictionary
 from repro.storage.tokenizer import STOPWORDS, tokenize, tokenize_many
 
 from repro.storage.corpus import Corpus
-from repro.storage.sharded import (
-    ShardedCorpus,
-    ShardedStoreView,
-    crc32_assignment,
-    is_shard_manifest,
-    process_pool_available,
-)
 
 __all__ = [
     "BaseDocumentStore",
@@ -62,11 +55,6 @@ __all__ = [
     "PathSummary",
     "TermDictionary",
     "Corpus",
-    "ShardedCorpus",
-    "ShardedStoreView",
-    "crc32_assignment",
-    "is_shard_manifest",
-    "process_pool_available",
     "SnapshotHeader",
     "read_snapshot_header",
     "FORMAT_VERSION",

@@ -147,12 +147,6 @@ class Corpus:
         forces full materialisation of a v2 file; ``eager=False`` demands
         laziness and rejects v1 files.
 
-        A shard-manifest path (written by
-        :meth:`~repro.storage.sharded.ShardedCorpus.save`) is detected
-        automatically and returns a
-        :class:`~repro.storage.sharded.ShardedCorpus` with one lazy store
-        per shard; all parameters pass through.
-
         A lazily-loaded corpus supports every mutation: added documents live
         in a resident overlay, and documents whose trees must be edited in
         place are pinned first via
@@ -171,52 +165,13 @@ class Corpus:
             If ``expected_version`` is given and the snapshot records a
             different corpus version (i.e. it is stale).
         """
-        from repro.storage.sharded import ShardedCorpus, is_shard_manifest
         from repro.storage.snapshot import load_corpus
 
-        if is_shard_manifest(path):
-            # A shard manifest written by ShardedCorpus.save: reassemble the
-            # sharded corpus (one lazy store per shard) instead of treating
-            # the JSON file as a binary snapshot.
-            return ShardedCorpus.load(
-                path,
-                expected_version=expected_version,
-                eager=eager,
-                max_materialised=max_materialised,
-            )
         return load_corpus(
             path,
             expected_version=expected_version,
             eager=eager,
             max_materialised=max_materialised,
-        )
-
-    def create_engine(
-        self,
-        semantics: str = "slca",
-        cache_size: int = 128,
-        cache_max_results: Optional[int] = 4096,
-    ):
-        """Build the search engine appropriate for this corpus type.
-
-        The polymorphic dispatch point the service layer uses: a plain
-        corpus yields a :class:`~repro.search.engine.SearchEngine`, a
-        :class:`~repro.storage.sharded.ShardedCorpus` overrides this to
-        yield the fan-out :class:`~repro.search.sharded_engine.ShardedSearchEngine`
-        — so :class:`~repro.service.service.SearchService` never inspects
-        the corpus type.  (Imported lazily: storage must not depend on the
-        search package at import time.)
-        """
-        # The one sanctioned upward edge: create_engine is the polymorphic
-        # dispatch point the service layer relies on, and the lazy import
-        # keeps storage import-time independent of search.
-        from repro.search.engine import SearchEngine  # repro: ignore[layering]
-
-        return SearchEngine(
-            self,
-            semantics=semantics,
-            cache_size=cache_size,
-            cache_max_results=cache_max_results,
         )
 
     def begin_generation(self) -> "Corpus":

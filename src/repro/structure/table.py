@@ -1,14 +1,11 @@
 """Corpus-level registry of per-document structural indexes.
 
 A :class:`StructuralTable` hangs off every
-:class:`~repro.storage.corpus.Corpus` (and, through the shard corpora, off
-every shard of a :class:`~repro.storage.sharded.ShardedCorpus` — structural
-queries are shard-transparent because each sub-engine sees its own shard's
-table).  It is *lazy by default*: a fresh build or an old snapshot starts
-with an empty cache and a loader that fetches the document root on first
-structural access, so corpora that never see a structured query never pay
-the indexing cost and lazily-loaded stores only materialise the documents
-that matches actually land in.
+:class:`~repro.storage.corpus.Corpus`.  It is *lazy by default*: a fresh
+build or an old snapshot starts with an empty cache and a loader that
+fetches the document root on first structural access, so corpora that
+never see a structured query never pay the indexing cost and lazily-loaded
+stores only materialise the documents that matches actually land in.
 
 Snapshots with a persisted structural section restore through
 :meth:`StructuralTable.restore` instead: the per-document encodings arrive

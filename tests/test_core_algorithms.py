@@ -217,3 +217,57 @@ class TestGeneratorFacade:
             "exhaustive",
         }
         assert DFSGenerator().available_algorithms() == list(ALGORITHMS)
+
+
+class TestSingleSwapDeterminism:
+    # One compare per interpreter: equal-scoring swaps are kept first-come,
+    # so any hash-ordered iteration in the candidate lists would make the
+    # chosen DFS (and its DoD) follow each process's PYTHONHASHSEED.  This
+    # corpus, query and top once gave DoD 198 under hash seed 0 and 178
+    # under hash seeds 1-3.
+    SCRIPT = """
+import json
+from repro.datasets.imdb import ImdbConfig, generate_imdb_corpus
+from repro.service.protocol import CompareRequest
+from repro.service.service import SearchService
+corpus = generate_imdb_corpus(ImdbConfig(num_movies=1000, seed=8))
+response = SearchService(corpus).compare(
+    CompareRequest(query="action revenge", top=10, algorithm="single_swap")
+)
+print(json.dumps({
+    "dod": response.dod,
+    "column_ids": list(response.column_ids),
+    "rows": [row.to_dict() for row in response.rows],
+}))
+"""
+
+    def test_same_dfs_under_different_hash_seeds(self):
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        source = str(Path(__file__).resolve().parent.parent / "src")
+        processes = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = source + os.pathsep + env.get("PYTHONPATH", "")
+            processes.append(
+                subprocess.Popen(
+                    [sys.executable, "-c", self.SCRIPT],
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE,
+                    text=True,
+                    env=env,
+                )
+            )
+        outcomes = []
+        for process in processes:
+            stdout, stderr = process.communicate(timeout=300)
+            assert process.returncode == 0, stderr
+            outcomes.append(json.loads(stdout))
+        first, second = outcomes
+        assert first["column_ids"] == second["column_ids"]
+        assert first["dod"] == second["dod"]
+        assert first["rows"] == second["rows"]

@@ -424,15 +424,28 @@ class TestBatchExecution:
         )
         assert len(evaluations) == 1
 
-    def test_search_many_matches_individual_searches(self, service):
-        batch = service.search_many(
-            [SearchRequest(query="gps"), SearchRequest(query="camera")]
-        )
-        singles = [
-            service.search(SearchRequest(query="gps")),
-            service.search(SearchRequest(query="camera")),
-        ]
-        assert batch == singles
+    def test_search_many_matches_individual_searches(self, small_product_corpus):
+        # With the engine cache on and off: the batch memo must hand out the
+        # same pages and cursors as individual requests, and those cursors
+        # must resume identically through either entry point.
+        for cache_size in (128, 0):
+            service = SearchService(
+                small_product_corpus, default_page_size=3, cache_size=cache_size
+            )
+            requests = [
+                SearchRequest(query="gps"),
+                SearchRequest(query="gps"),  # repeat: memo path
+                SearchRequest(query="camera"),
+                SearchRequest(query="gps", semantics="elca", page_size=2),
+            ]
+            batch = service.search_many(requests)
+            singles = [service.search(request) for request in requests]
+            assert batch == singles
+            cursors = [response.next_cursor for response in batch if response.next_cursor]
+            assert cursors, "expected at least one multi-page response"
+            resumed = service.search_many([SearchRequest(cursor=cursor) for cursor in cursors])
+            assert resumed == [service.search(SearchRequest(cursor=cursor)) for cursor in cursors]
+            assert all(response.offset > 0 for response in resumed)
 
 
 class TestCompareProtocol:

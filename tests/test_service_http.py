@@ -8,6 +8,7 @@ compare via POST, the health and stats endpoints, and the error mapping.
 
 import gzip
 import json
+import logging
 import threading
 import urllib.error
 import urllib.parse
@@ -190,11 +191,30 @@ class TestCompareEndpoint:
 
 
 class TestOperationalEndpoints:
-    def test_healthz(self, base_url, small_product_corpus):
+    def test_healthz(self, base_url, server, small_product_corpus, monkeypatch, caplog):
         status, payload = get_json(f"{base_url}/healthz")
         assert status == 200
         assert payload["status"] == "ok"
         assert payload["documents"] == len(small_product_corpus.store)
+
+        # A non-library exception is a 500 with the usual terse JSON body,
+        # and its traceback goes to the server's log.
+        def broken_health():
+            raise RuntimeError("health probe exploded")
+
+        monkeypatch.setattr(server.service, "health", broken_health)
+        with caplog.at_level(logging.ERROR, logger="repro.service.http"):
+            code, payload = error_response(lambda: get_json(f"{base_url}/healthz"))
+        assert code == 500
+        assert payload == {
+            "error": {"type": "RuntimeError", "message": "health probe exploded"}
+        }
+        [record] = [r for r in caplog.records if r.name == "repro.service.http"]
+        assert record.levelno == logging.ERROR
+        assert "GET /healthz" in record.getMessage()
+        assert record.exc_info is not None and record.exc_info[0] is RuntimeError
+        assert "Traceback (most recent call last)" in caplog.text
+        assert "broken_health" in caplog.text
 
     def test_stats(self, base_url):
         get_json(f"{base_url}/search?q=gps")
@@ -540,6 +560,8 @@ class TestClientDisconnect:
 
         handler = object.__new__(_Handler)
         handler.close_connection = False
+        # Set by parse_request before any endpoint runs; the 500 log names them.
+        handler.command, handler.path = "GET", "/search"
 
         def dead_socket_write(*args, **kwargs):
             raise BrokenPipeError("peer went away")

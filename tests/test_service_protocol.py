@@ -300,12 +300,9 @@ GOLDEN_CHANGE_FEED_RESPONSE = (
 )
 
 
-GOLDEN_SHARDED_CORPUS_STATS = (
-    '{"documents": 6, "name": "fixed", "shard_count": 3, "store": '
-    '{"backend": "sharded", "decodes": 0, "documents": 6, "evictions": 0, '
-    '"materialised": 0, "shard_count": 3, "shards": '
-    '[{"backend": "eager", "documents": 0}, {"backend": "eager", "documents": 4}, '
-    '{"backend": "eager", "documents": 2}]}, "version": 0}'
+GOLDEN_CORPUS_STATS = (
+    '{"documents": 6, "name": "fixed", "store": '
+    '{"backend": "eager", "documents": 6}, "version": 0}'
 )
 
 
@@ -434,14 +431,11 @@ class TestGoldenFixtures:
             ChangeFeedResponse.from_dict(json.loads(GOLDEN_CHANGE_FEED_RESPONSE)) == response
         )
 
-    def test_sharded_stats_corpus_section(self):
-        """`GET /stats` with a sharded backend: additive schema, pinned exactly.
-
-        The single-corpus golden above this one is untouched — sharding adds
-        ``shard_count`` and the per-shard ``store`` fields, never renames.
-        """
+    def test_stats_corpus_section(self):
+        """`GET /stats` corpus section for an eager corpus, pinned exactly."""
         from repro.service.service import SearchService
-        from repro.storage.sharded import ShardedCorpus
+        from repro.storage.corpus import Corpus
+        from repro.storage.document_store import DocumentStore
         from repro.xmlmodel.parser import parse_xml
 
         documents = {
@@ -452,14 +446,12 @@ class TestGoldenFixtures:
             "doc-4": "<movie><title>epsilon story</title><pros>gripping</pros></movie>",
             "doc-5": "<item><name>zeta widget</name><rating>good</rating></item>",
         }
-        corpus = ShardedCorpus.build(
-            [(doc_id, parse_xml(markup)) for doc_id, markup in documents.items()],
-            3,
-            name="fixed",
-        )
-        service = SearchService(corpus)
+        store = DocumentStore()
+        for doc_id, markup in documents.items():
+            store.add(doc_id, parse_xml(markup))
+        service = SearchService(Corpus(store, name="fixed"))
         wire = json.dumps(service.stats()["corpus"], sort_keys=True)
-        assert wire == GOLDEN_SHARDED_CORPUS_STATS
+        assert wire == GOLDEN_CORPUS_STATS
 
 
 # --------------------------------------------------------------------- #

@@ -1,6 +1,7 @@
 """Tests for the binary corpus snapshot subsystem (save / load / failure modes)."""
 
 import io
+import json
 import struct
 
 import pytest
@@ -191,10 +192,29 @@ class TestFailureModes:
                 Corpus.load(target)
 
     def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "b.snap"
-        path.write_bytes(b"NOTASNAPSHOT" + b"\x00" * 64)
-        with pytest.raises(SnapshotFormatError, match="magic"):
-            Corpus.load(path)
+        # The JSON input has the shape of the shard manifests older releases
+        # wrote: such a file must fail loudly, never load as something else.
+        manifest = {
+            "format": "xsact-shard-manifest",
+            "format_version": 1,
+            "name": "products",
+            "corpus_version": 0,
+            "assignment": "crc32_assignment",
+            "shard_count": 2,
+            "shards": [
+                {"file": "products.manifest.shard0", "corpus_version": 0, "documents": 1},
+                {"file": "products.manifest.shard1", "corpus_version": 0, "documents": 1},
+            ],
+            "order": ["doc-0", "doc-1"],
+        }
+        for content in (
+            b"NOTASNAPSHOT" + b"\x00" * 64,
+            json.dumps(manifest, indent=2).encode("utf-8") + b"\n",
+        ):
+            path = tmp_path / "b.snap"
+            path.write_bytes(content)
+            with pytest.raises(SnapshotFormatError, match="magic"):
+                Corpus.load(path)
 
     def test_wrong_format_version_rejected(self, tmp_path):
         corpus = small_corpus()
