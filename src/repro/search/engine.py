@@ -8,25 +8,24 @@ results comes out.  The pipeline is
 2. compute SLCA (or ELCA) match nodes,
 3. infer the return subtree for each match with the XSeek rules,
 4. deduplicate results that map to the same return node,
-5. copy the return subtrees out of the corpus, rank them and assign ids.
+5. rank the results and keep each as a
+   :class:`~repro.search.result.RankedHit`: document id, match and return
+   labels, score and title, all read from the live return node in the corpus.
+
+Nothing is copied until a caller is served: :meth:`SearchEngine.materialise`
+builds :class:`~repro.search.result.SearchResult` objects, each with a
+detached copy of its return subtree, for the requested ranks only.  A page of
+``k`` results therefore costs ``k`` subtree copies whether its ranked list
+was just evaluated or came from the cache, and callers may annotate or prune
+what they are served without touching the corpus or the cache.
 
 Repeated queries are the dominant pattern under real traffic, so the engine
-keeps a small LRU cache of ranked result lists keyed by the normalised query
+keeps a small LRU cache of ranked hit lists keyed by the normalised query
 (:attr:`~repro.search.query.KeywordQuery.cache_key`) and the result semantics.
-Cache entries are pristine: every ``search`` call returns fresh subtree copies,
-so callers may annotate or prune their results without polluting later hits.
-The cache is invalidated wholesale whenever the corpus
-:attr:`~repro.storage.corpus.Corpus.version` changes.
-
-The cache is bounded two ways: ``cache_size`` caps the number of entries, and
-``cache_max_results`` caps the *total number of cached results* summed over
-all entries.  The second bound is the one that actually limits memory — each
-cached result pins a full return-subtree copy, and a single broad query can
-produce thousands of them, so an entry count alone would let a handful of
-broad queries hold an unbounded slice of the corpus in memory.  When an
-insertion pushes the total over the budget, least-recently-used entries are
-evicted until it fits; a single result list larger than the whole budget is
-simply not retained.
+``cache_size`` caps the number of entries; since an entry holds labels, not
+subtrees, that bound also bounds its memory.  The cache is invalidated
+wholesale whenever the corpus :attr:`~repro.storage.corpus.Corpus.version`
+changes.
 
 The engine is safe to share between threads over a read-only corpus: cache
 probes, insertions and the hit/miss counters are lock-guarded, while query
@@ -39,13 +38,12 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SearchError
 from repro.search.query import KeywordQuery
 from repro.search.ranking import rank_results
-from repro.search.result import SearchResult, SearchResultSet
+from repro.search.result import RankedHit, SearchResult, SearchResultSet
 from repro.search.semantics import (
     MatchContext,
     get_registration,
@@ -76,38 +74,25 @@ class SearchEngine:
         registered through
         :func:`~repro.search.semantics.register_semantics`.
     cache_size:
-        Maximum number of distinct queries whose ranked results are kept in
-        the LRU cache; ``0`` disables caching entirely.
-    cache_max_results:
-        Maximum *total* number of cached results summed across all entries —
-        the memory bound, since every cached result holds a subtree copy.
-        ``None`` leaves only the entry-count bound.  A single result list
-        exceeding the whole budget is not cached at all.
+        Maximum number of distinct queries whose ranked hits are kept in the
+        LRU cache; ``0`` disables caching entirely.
     """
 
-    def __init__(
-        self,
-        corpus: Corpus,
-        semantics: str = "slca",
-        cache_size: int = 128,
-        cache_max_results: Optional[int] = 4096,
-    ):
+    def __init__(self, corpus: Corpus, semantics: str = "slca", cache_size: int = 128):
         get_semantics(semantics)  # reject unknown names at construction
         self.corpus = corpus
         self.semantics = semantics
         self.cache_size = cache_size
-        self.cache_max_results = cache_max_results
-        self._cache: "OrderedDict[Tuple[Tuple[str, ...], str, int], List[SearchResult]]" = OrderedDict()
-        self._cached_results_total = 0
+        self._cache: "OrderedDict[Tuple[Tuple[str, ...], str, int], Tuple[RankedHit, ...]]" = OrderedDict()
         self._cache_version = getattr(corpus, "version", None)
         self.cache_hits = 0
         self.cache_misses = 0
-        # Guards every access to the cache dict, its bookkeeping totals and
-        # the hit/miss counters.  Query *evaluation* runs outside the lock —
-        # the corpus is shared read-only — so concurrent distinct queries
-        # still evaluate in parallel; only cache probes and insertions
-        # serialise.  RLock, not Lock: clear_cache() is also called from
-        # inside the locked version check.
+        # Guards every access to the cache dict and the hit/miss counters.
+        # Query *evaluation* runs outside the lock — the corpus is shared
+        # read-only — so concurrent distinct queries still evaluate in
+        # parallel; only cache probes and insertions serialise.  RLock, not
+        # Lock: clear_cache() is also called from inside the locked version
+        # check.
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------ #
@@ -134,10 +119,10 @@ class SearchEngine:
         """
         if limit is not None and limit < 0:
             raise SearchError(f"limit must be non-negative, got {limit}")
-        if isinstance(query, str):
-            query = KeywordQuery.parse(query)
-        _, results = self._materialise_page(query, 0, limit)
-        return SearchResultSet(query=query, results=results)
+        query = self._parsed(query)
+        return SearchResultSet(
+            query=query, results=self.materialise(self._ranked_results(query), 0, limit)
+        )
 
     def search_page(
         self, query: "KeywordQuery | str", offset: int, count: int
@@ -147,9 +132,8 @@ class SearchEngine:
         Returns ``(total, page)`` where ``total`` is the full ranked result
         count and ``page`` holds the results at ranks ``offset+1`` to
         ``offset+count`` with their rank-stable ids (``"R{rank}"``).  Only
-        the window is subtree-cloned — the service layer's pagination stays
-        O(page size) per request even when the ranked list is huge, instead
-        of paying a defensive copy of every cached result per page.
+        the window is subtree-copied, so pagination stays O(page size) per
+        request however long the ranked list is.
 
         Raises
         ------
@@ -160,30 +144,41 @@ class SearchEngine:
             raise SearchError(f"offset must be non-negative, got {offset}")
         if count < 0:
             raise SearchError(f"count must be non-negative, got {count}")
-        if isinstance(query, str):
-            query = KeywordQuery.parse(query)
-        total, results = self._materialise_page(query, offset, count)
-        return total, SearchResultSet(query=query, results=results)
+        query = self._parsed(query)
+        hits = self._ranked_results(query)
+        return len(hits), SearchResultSet(
+            query=query, results=self.materialise(hits, offset, count)
+        )
 
-    def _materialise_page(
-        self, query: KeywordQuery, offset: int, count: Optional[int]
-    ) -> Tuple[int, List[SearchResult]]:
-        """Clone-and-id the ranked results at ``[offset, offset+count)``."""
-        ranked, shared = self._ranked_results(query)
-        selected = ranked[offset:] if count is None else ranked[offset : offset + count]
-        results: List[SearchResult] = []
-        for position, result in enumerate(selected, start=offset + 1):
-            if shared:
-                result = self._clone_result(result)
-            result.result_id = f"R{position}"
-            results.append(result)
-        return len(ranked), results
+    def ranked_hits(self, query: "KeywordQuery | str") -> Sequence[RankedHit]:
+        """The full ranked list of a query as hits, from the cache when possible.
+
+        Nothing is copied; pass the ranks a caller is served to
+        :meth:`materialise`.  The sequence may be shared with the cache and
+        other threads, so it is immutable.
+        """
+        return self._ranked_results(self._parsed(query))
+
+    def materialise(
+        self, hits: Sequence[RankedHit], offset: int = 0, count: Optional[int] = None
+    ) -> List[SearchResult]:
+        """Results for the hits at ranks ``offset+1`` to ``offset+count``.
+
+        Each result carries a fresh detached copy of its return subtree,
+        read from this engine's corpus.  ``count=None`` runs to the end.
+        """
+        window = hits[offset:] if count is None else hits[offset : offset + count]
+        store = self.corpus.store
+        return [hit.materialise(store, rank) for rank, hit in enumerate(window, start=offset + 1)]
+
+    @staticmethod
+    def _parsed(query: "KeywordQuery | str") -> KeywordQuery:
+        return KeywordQuery.parse(query) if isinstance(query, str) else query
 
     def clear_cache(self) -> None:
         """Drop every cached query result."""
         with self._lock:
             self._cache.clear()
-            self._cached_results_total = 0
 
     def cache_stats(self) -> Dict[str, int]:
         """Return a consistent snapshot of the cache counters.
@@ -191,14 +186,14 @@ class SearchEngine:
         The hit/miss counters were always maintained but never exposed; the
         service layer's ``/stats`` endpoint and the ``serve`` logs read them
         through this accessor.  Keys: ``entries`` (cached queries),
-        ``cached_results`` (total results pinned, the ``cache_max_results``
-        bound), ``hits`` and ``misses`` (lifetime counters, reset never —
-        compute rates over deltas).
+        ``cached_results`` (ranked hits held, summed over the entries),
+        ``hits`` and ``misses`` (lifetime counters, reset never — compute
+        rates over deltas).
         """
         with self._lock:
             return {
                 "entries": len(self._cache),
-                "cached_results": self._cached_results_total,
+                "cached_results": sum(len(hits) for hits in self._cache.values()),
                 "hits": self.cache_hits,
                 "misses": self.cache_misses,
             }
@@ -206,19 +201,10 @@ class SearchEngine:
     # ------------------------------------------------------------------ #
     # Caching
     # ------------------------------------------------------------------ #
-    def _ranked_results(self, query: KeywordQuery) -> Tuple[List[SearchResult], bool]:
-        """Return the full ranked result list and whether it is cache-shared.
-
-        Cache-shared lists must not be handed to callers directly — ``search``
-        clones each selected result so cached subtrees stay pristine.  A miss
-        therefore pays one extra subtree copy over an uncached engine; that is
-        deliberate: handing out the originals and cloning into the cache
-        instead would copy the *full* ranked list even for small ``limit``
-        requests, and lending cached entries out uncloned would let caller
-        mutations poison later hits.
-        """
+    def _ranked_results(self, query: KeywordQuery) -> Tuple[RankedHit, ...]:
+        """Return the full ranked hit list: the engine's only cache probe."""
         if self.cache_size <= 0:
-            return self._evaluate(query), False
+            return self._evaluate(query)
 
         # The registration generation is part of the key: re-registering a
         # custom semantics (replace=True) changes what the name computes, and
@@ -234,14 +220,13 @@ class SearchEngine:
             if cached is not None:
                 self._cache.move_to_end(key)
                 self.cache_hits += 1
-                return cached, True
+                return cached
             self.cache_misses += 1
 
         # Evaluate outside the lock: the corpus is shared read-only, so
         # distinct queries proceed in parallel.  Two threads racing on the
         # same cold query both evaluate (duplicate work, identical output);
-        # the insertion below handles the race by replacing, never
-        # double-counting.
+        # the insertion below handles the race by replacing.
         ranked = self._evaluate(query)
 
         with self._lock:
@@ -252,45 +237,26 @@ class SearchEngine:
                 # shared _cache_version may already have been re-synced to the
                 # new corpus version by another thread's probe, which would
                 # let this stale list masquerade as current.
-                return ranked, False
-            displaced = self._cache.pop(key, None)
-            if displaced is not None:
-                self._cached_results_total -= len(displaced)
+                return ranked
             self._cache[key] = ranked
-            self._cached_results_total += len(ranked)
-            while self._cache and (
-                len(self._cache) > self.cache_size
-                or (
-                    self.cache_max_results is not None
-                    and self._cached_results_total > self.cache_max_results
-                )
-            ):
-                # LRU eviction under either bound; an oversized ranked list
-                # can evict everything including itself, so it is never
-                # retained.
-                _, evicted = self._cache.popitem(last=False)
-                self._cached_results_total -= len(evicted)
-            # If the new list itself was evicted (oversized), nothing aliases
-            # it: hand it out unshared so search() skips the defensive clones.
-            return ranked, key in self._cache
-
-    @staticmethod
-    def _clone_result(result: SearchResult) -> SearchResult:
-        # dataclasses.replace keeps the clone in sync with future SearchResult
-        # fields; only the id (reassigned per result set) and the subtree
-        # (must be a fresh mutable copy) diverge from the cached original.
-        return replace(result, result_id="", subtree=result.subtree.copy())
+            self._cache.move_to_end(key)
+            while len(self._cache) > self.cache_size:
+                self._cache.popitem(last=False)
+            return ranked
 
     # ------------------------------------------------------------------ #
     # Pipeline stages
     # ------------------------------------------------------------------ #
-    def _evaluate(self, query: KeywordQuery) -> List[SearchResult]:
+    def _evaluate(self, query: KeywordQuery) -> Tuple[RankedHit, ...]:
         matches = self._compute_matches(query)
-        results = self._materialise_results(matches)
+        candidates = self._return_nodes(matches)
         # Index-assisted scoring: posting spans already know where every
         # keyword occurs, so ranking never re-tokenises result subtrees (nor
         # forces a lazy store to materialise anything beyond the results).
-        return rank_results(results, query, self.corpus.statistics, index=self.corpus.index)
+        ranked = rank_results(candidates, query, self.corpus.statistics, index=self.corpus.index)
+        return tuple(
+            RankedHit(r.doc_id, r.match_label, r.return_label, r.score, r.title) for r in ranked
+        )
 
     def _compute_matches(self, query: KeywordQuery) -> List[Posting]:
         # Resolve postings through the *normalised* keyword view — the same
@@ -327,8 +293,14 @@ class SearchEngine:
             )
         return registration.fn(posting_lists)
 
-    def _materialise_results(self, matches: List[Posting]) -> List[SearchResult]:
-        seen_return_nodes: Dict[Tuple[str, DeweyLabel], SearchResult] = {}
+    def _return_nodes(self, matches: List[Posting]) -> List[SearchResult]:
+        """One scoring candidate per distinct return node, in match order.
+
+        Each candidate's ``subtree`` is the *live* return node in the corpus,
+        not a copy: ranking only counts its elements and the title only reads
+        it.  Candidates never leave :meth:`_evaluate`; they become hits.
+        """
+        seen_return_nodes: Set[Tuple[str, DeweyLabel]] = set()
         results: List[SearchResult] = []
         for match in matches:
             document = self.corpus.store.get(match.doc_id)
@@ -337,19 +309,17 @@ class SearchEngine:
             key = (match.doc_id, return_node.label)
             if key in seen_return_nodes:
                 continue
-            # copy() already returns a detached clone labelled from the root,
-            # so no relabel pass is needed.
-            subtree = return_node.copy()
-            result = SearchResult(
-                result_id="",
-                doc_id=match.doc_id,
-                match_label=match.label,
-                return_label=return_node.label,
-                subtree=subtree,
-                title=self._result_title(subtree, match.doc_id),
+            seen_return_nodes.add(key)
+            results.append(
+                SearchResult(
+                    result_id="",
+                    doc_id=match.doc_id,
+                    match_label=match.label,
+                    return_label=return_node.label,
+                    subtree=return_node,
+                    title=self._result_title(return_node, match.doc_id),
+                )
             )
-            seen_return_nodes[key] = result
-            results.append(result)
         return results
 
     @staticmethod

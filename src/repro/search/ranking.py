@@ -16,9 +16,9 @@ occurrences inside the result subtree.  Two counting strategies exist:
   is the number of the keyword's posting nodes — read from the inverted
   index's per-document offset map, one slice per (keyword, document) — that
   fall inside the returned subtree (descendant-or-self of the return label).
-  No node text is re-tokenised, and nothing beyond the already-materialised
-  result subtree is touched, which keeps scoring from faulting in unrelated
-  documents on a lazily-loaded corpus.
+  No node text is re-tokenised, and nothing beyond the result's own subtree
+  (the engine passes the live return node, uncopied) is touched, which keeps
+  scoring from faulting in unrelated documents on a lazily-loaded corpus.
 * **Tokenising fallback** (no ``index``, and :func:`tf_idf_score`): node
   texts are tokenised by one batch
   :func:`~repro.storage.tokenizer.tokenize_many` pass per node and non-query

@@ -5,19 +5,26 @@ for one SLCA/ELCA match, together with enough provenance (document id, the
 match node's Dewey label, the matched keywords) for downstream modules — the
 entity identifier, the feature extractor and the comparison table — to do
 their work and for the UI to link back to the source document.
+
+The engine ranks and caches :class:`RankedHit` labels, not results: a
+:class:`SearchResult` and its subtree copy exist only for the ranks a caller
+is served, built by :meth:`RankedHit.materialise`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Sequence
 
 from repro.errors import ResultNotFoundError, SearchError
 from repro.search.query import KeywordQuery
 from repro.xmlmodel.dewey import DeweyLabel
 from repro.xmlmodel.node import XMLNode
 
-__all__ = ["SearchResult", "SearchResultSet"]
+if TYPE_CHECKING:
+    from repro.storage.document_store import BaseDocumentStore
+
+__all__ = ["RankedHit", "SearchResult", "SearchResultSet"]
 
 
 @dataclass
@@ -64,6 +71,39 @@ class SearchResult:
         return (
             f"SearchResult(id={self.result_id!r}, doc={self.doc_id!r}, "
             f"root=<{self.root_tag()}>, score={self.score:.3f})"
+        )
+
+
+class RankedHit(NamedTuple):
+    """One ranked result as labels: what the engine ranks and caches.
+
+    A hit names its return subtree by ``(doc_id, return_label)`` instead of
+    holding a copy, so a cached ranked list costs a few small objects per
+    result however large the subtrees are.  Score and title are computed
+    once, when the query is evaluated.
+    """
+
+    doc_id: str
+    match_label: DeweyLabel
+    return_label: DeweyLabel
+    score: float
+    title: str
+
+    def materialise(self, store: "BaseDocumentStore", rank: int) -> SearchResult:
+        """Build the result served at ``rank``, with ``result_id`` ``"R{rank}"``.
+
+        The one place a result subtree is copied: the return node is looked
+        up in ``store`` (re-decoding the document if a lazy store evicted
+        it) and its subtree is detached with :meth:`XMLNode.copy`.
+        """
+        return SearchResult(
+            result_id=f"R{rank}",
+            doc_id=self.doc_id,
+            match_label=self.match_label,
+            return_label=self.return_label,
+            subtree=store.node_at(self.doc_id, self.return_label).copy(),
+            score=self.score,
+            title=self.title,
         )
 
 

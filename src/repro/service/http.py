@@ -148,6 +148,9 @@ class _Handler(BaseHTTPRequestHandler):
     # Socket timeout per connection: a client that stalls mid-body (or never
     # sends one) must not park a handler thread forever.
     timeout = 60
+    # Headers and body go out as two writes on a keep-alive socket; with
+    # Nagle on, the second waits for the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------ #
     # Routing

@@ -21,6 +21,9 @@ same object:
 * **batch execution** — :meth:`SearchService.search_many` evaluates each
   distinct ``(normalised query, semantics)`` pair once per batch, even when
   the engine cache is disabled or already evicted the entry;
+* **copies only for what is served** — engines rank and cache label hits
+  (:class:`~repro.search.result.RankedHit`); a page or a comparison of ``k``
+  results copies exactly ``k`` result subtrees;
 * thread safety throughout: the engine guards its cache internally, the
   service guards engine creation and its request counters, and everything
   else is read-only.
@@ -28,6 +31,7 @@ same object:
 
 from __future__ import annotations
 
+import re
 import threading
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -41,13 +45,15 @@ from repro.errors import (
     QueryError,
     ReadOnlyServiceError,
     ReproError,
+    ResultNotFoundError,
+    SearchError,
     ServiceError,
 )
 from repro.features.extractor import FeatureExtractor
 from repro.search.engine import SearchEngine
 from repro.search.query import KeywordQuery
 from repro.search.structural import StructuredQuery, parse_tag_path
-from repro.search.result import SearchResult, SearchResultSet
+from repro.search.result import RankedHit, SearchResult, SearchResultSet
 from repro.search.semantics import available_semantics, semantics_generation
 from repro.service.cursor import decode_cursor, encode_cursor
 from repro.service.protocol import (
@@ -77,6 +83,9 @@ DEFAULT_PAGE_SIZE = 10
 # when the operator configures a larger default page size.
 DEFAULT_MAX_PAGE_SIZE = 100
 
+# A result id names its rank: "R3" is rank 3.
+_RESULT_ID = re.compile(r"R([1-9][0-9]*)")
+
 
 class _Generation:
     """One serving generation: a corpus with its engines and feature extractor.
@@ -88,17 +97,11 @@ class _Generation:
     because they read the generation's own statistics and caches.
     """
 
-    __slots__ = ("corpus", "_cache_size", "_cache_max_results", "_engines", "_extractor", "_lock")
+    __slots__ = ("corpus", "_cache_size", "_engines", "_extractor", "_lock")
 
-    def __init__(
-        self,
-        corpus: Corpus,
-        cache_size: int,
-        cache_max_results: Optional[int],
-    ) -> None:
+    def __init__(self, corpus: Corpus, cache_size: int) -> None:
         self.corpus = corpus
         self._cache_size = cache_size
-        self._cache_max_results = cache_max_results
         self._engines: Dict[str, SearchEngine] = {}
         self._extractor: Optional[FeatureExtractor] = None
         self._lock = threading.Lock()
@@ -108,10 +111,7 @@ class _Generation:
             engine = self._engines.get(semantics)
             if engine is None:
                 engine = SearchEngine(
-                    self.corpus,
-                    semantics=semantics,
-                    cache_size=self._cache_size,
-                    cache_max_results=self._cache_max_results,
+                    self.corpus, semantics=semantics, cache_size=self._cache_size
                 )
                 self._engines[semantics] = engine
             return engine
@@ -148,8 +148,8 @@ class SearchService:
         Default DFS construction configuration for comparisons.
     algorithm:
         Default DFS construction algorithm.
-    cache_size / cache_max_results:
-        Per-engine query-cache bounds, passed through to every
+    cache_size:
+        Per-engine query-cache bound (entries), passed through to every
         :class:`~repro.search.engine.SearchEngine` the service creates.
     default_page_size:
         Page size used when a request does not specify one.
@@ -179,7 +179,6 @@ class SearchService:
         config: Optional[DFSConfig] = None,
         algorithm: str = "multi_swap",
         cache_size: int = 128,
-        cache_max_results: Optional[int] = 4096,
         default_page_size: int = DEFAULT_PAGE_SIZE,
         max_page_size: int = DEFAULT_MAX_PAGE_SIZE,
         writable: bool = False,
@@ -206,8 +205,7 @@ class SearchService:
         self.max_page_size = max_page_size
         self.writable = writable
         self._cache_size = cache_size
-        self._cache_max_results = cache_max_results
-        self._generation = _Generation(corpus, cache_size, cache_max_results)
+        self._generation = _Generation(corpus, cache_size)
         self._lock = threading.Lock()
         # Writers serialise on this lock for the whole clone-mutate-install
         # cycle; readers never take it (they capture self._generation once).
@@ -273,21 +271,6 @@ class SearchService:
         """Evaluate a query and return the rich, in-process result set."""
         with self._lock:
             self._search_count += 1
-        return self._evaluate_results(query, semantics=semantics, limit=limit)
-
-    def _evaluate_results(
-        self,
-        query: "str | KeywordQuery",
-        semantics: str = "slca",
-        limit: Optional[int] = None,
-    ) -> SearchResultSet:
-        """Engine evaluation without touching the request counters.
-
-        The counters mean *requests served*, not evaluations: internal
-        searches (the search stage of a compare, batch memo fills) must not
-        inflate them, so every public entry point counts itself exactly once
-        and routes here.
-        """
         return self.engine_for(semantics).search(query, limit=limit)
 
     def compare_selected(
@@ -354,21 +337,14 @@ class SearchService:
             raise ComparisonError("select at least two documents to compare")
         if isinstance(query, str):
             query = KeywordQuery.parse(query)
+        store = self.corpus.store
         results: List[SearchResult] = []
         for position, doc_id in enumerate(doc_ids, start=1):
-            document = self.corpus.store.get(doc_id)
-            subtree = document.root.copy()
-            subtree.relabel()
-            results.append(
-                SearchResult(
-                    result_id=f"R{position}",
-                    doc_id=doc_id,
-                    match_label=document.root.label,
-                    return_label=document.root.label,
-                    subtree=subtree,
-                    title=SearchEngine._result_title(subtree, doc_id),
-                )
+            root = store.get(doc_id).root
+            hit = RankedHit(
+                doc_id, root.label, root.label, 0.0, SearchEngine._result_title(root, doc_id)
             )
+            results.append(hit.materialise(store, position))
         result_set = SearchResultSet(query=query, results=results)
         return self.compare_selected(result_set, size_limit=size_limit, algorithm=algorithm)
 
@@ -381,30 +357,53 @@ class SearchService:
         semantics: str = "slca",
     ):
         """Convenience: search and compare the top ``top`` results."""
-        result_set = self._evaluate_results(query, semantics=semantics)
-        ids = self._top_ids(result_set, top, query)
-        return self.compare_selected(
-            result_set, result_ids=ids, size_limit=size_limit, algorithm=algorithm
-        )
+        result_set = self._compared_results(self.engine_for(semantics), query, top, None)
+        return self.compare_selected(result_set, size_limit=size_limit, algorithm=algorithm)
 
     @staticmethod
-    def _top_ids(
-        result_set: SearchResultSet, top: int, query: "str | KeywordQuery"
-    ) -> List[str]:
-        """Ids of the top-``top`` results, the default checkbox selection.
+    def _compared_results(
+        engine: SearchEngine,
+        query: "str | KeywordQuery",
+        top: int,
+        result_ids: Optional[Sequence[str]],
+    ) -> SearchResultSet:
+        """Materialise only the results a comparison reads.
+
+        With ``result_ids`` (the ticked checkboxes) id ``"R{n}"`` resolves
+        to rank ``n``; without, the top-``top`` window is compared.  Either
+        way only the compared subtrees are copied.  Shared by the rich and
+        the wire compare paths so both report identically.
 
         Raises
         ------
         ComparisonError
-            When the query produced fewer than two results — shared by the
-            rich and the wire compare paths so both report identically.
+            When an id names no rank of the ranked list, or when the query
+            produced fewer than two results to take the top window from.
         """
-        if len(result_set) < 2:
+        parsed = KeywordQuery.parse(query) if isinstance(query, str) else query
+        hits = engine.ranked_hits(parsed)
+        if result_ids is not None:
+            store = engine.corpus.store
+            results = []
+            for result_id in result_ids:
+                match = _RESULT_ID.fullmatch(result_id)
+                rank = int(match.group(1)) if match else 0
+                if not 1 <= rank <= len(hits):
+                    # On the wire an unknown checkbox id is a client error;
+                    # the message quotes the lookup error, as it always has.
+                    raise ComparisonError(
+                        f"unknown result id: {str(ResultNotFoundError(result_id))!r}"
+                    )
+                results.append(hits[rank - 1].materialise(store, rank))
+            return SearchResultSet(query=parsed, results=results)
+        if len(hits) < 2:
             raise ComparisonError(
-                f"query {str(query)!r} returned {len(result_set)} result(s); "
+                f"query {str(query)!r} returned {len(hits)} result(s); "
                 f"need at least two to compare"
             )
-        return [result.result_id for result in result_set.top(top)]
+        if top < 0:
+            raise SearchError(f"top() count must be non-negative, got {top}")
+        return SearchResultSet(query=parsed, results=engine.materialise(hits, 0, top))
 
     # ------------------------------------------------------------------ #
     # Protocol API (wire callers: the HTTP front-end)
@@ -428,17 +427,11 @@ class SearchService:
         """Serve a batch of search requests.
 
         Each distinct ``(normalised query, semantics)`` pair in the batch is
-        evaluated once, and single-window requests only pay subtree clones
-        for their own page.  The one exception: a query whose ranked list is
-        too large for the engine cache to retain *and* whose batch entries
-        span multiple distinct windows is evaluated at most twice (the
-        second evaluation materialises the full set, which then serves every
-        further window from the batch memo).
+        evaluated at most once, even with the engine cache disabled: the
+        batch memoises its ranked hits, and every request materialises only
+        its own window from them.
         """
-        window_memo: Dict[
-            Tuple[Tuple[str, ...], str, int, int], Tuple[int, List[SearchResult]]
-        ] = {}
-        full_memo: Dict[Tuple[Tuple[str, ...], str], SearchResultSet] = {}
+        memo: Dict[Tuple[Tuple[str, ...], str], Sequence[RankedHit]] = {}
         # One generation for the whole batch: every response carries the same
         # corpus version and the memoised ranked lists stay coherent.
         generation = self._generation
@@ -446,30 +439,12 @@ class SearchService:
         def fetch(
             query: KeywordQuery, semantics: str, offset: int, count: int
         ) -> Tuple[int, List[SearchResult]]:
-            pair = (query.cache_key, semantics)
-            full = full_memo.get(pair)
-            if full is not None:
-                return len(full), full.results[offset : offset + count]
-            key = pair + (offset, count)
-            window = window_memo.get(key)
-            if window is not None:
-                return window
             engine = generation.engine_for(semantics)
-            first_window = not any(k[:2] == pair for k in window_memo)
-            if engine.cache_size > 0 and first_window:
-                # Cheap path for the first window of a pair: O(page) clones,
-                # and the engine cache dedups evaluation for repeats.
-                total, page = engine.search_page(query, offset, count)
-                window_memo[key] = (total, page.results)
-                return window_memo[key]
-            # A second distinct window (the engine cache may not have
-            # retained an oversized list) or a disabled cache: materialise
-            # the full ranked set once and serve every further window from
-            # it.  Sharing results between batch entries is safe:
-            # serialisation never mutates a result.
-            result_set = engine.search(query)
-            full_memo[pair] = result_set
-            return len(result_set), result_set.results[offset : offset + count]
+            pair = (query.cache_key, semantics)
+            hits = memo.get(pair)
+            if hits is None:
+                hits = memo[pair] = engine.ranked_hits(query)
+            return len(hits), engine.materialise(hits, offset, count)
 
         return [self._paged_search(request, fetch, generation) for request in requests]
 
@@ -648,27 +623,11 @@ class SearchService:
 
     def compare(self, request: CompareRequest) -> CompareResponse:
         """Serve one comparison request and return the table as plain data."""
-        result_set = self._evaluate_results(request.query, semantics=request.semantics)
-        if request.result_ids is not None:
-            try:
-                selected = result_set.select(request.result_ids)
-            except KeyError as exc:
-                # On the wire an unknown checkbox id is a client error.  Only
-                # the id lookup is mapped — a KeyError out of the comparison
-                # pipeline itself would be a server bug and must surface as
-                # one.
-                raise ComparisonError(f"unknown result id: {exc.args[0]!r}") from exc
-            # Hand the pre-selected subset on (result_ids=None keeps set
-            # order) so the ids are resolved exactly once.
-            result_set = SearchResultSet(query=result_set.query, results=selected)
-            ids = None
-        else:
-            ids = self._top_ids(result_set, request.top, request.query)
+        result_set = self._compared_results(
+            self.engine_for(request.semantics), request.query, request.top, request.result_ids
+        )
         outcome = self.compare_selected(
-            result_set,
-            result_ids=ids,
-            size_limit=request.size_limit,
-            algorithm=request.algorithm,
+            result_set, size_limit=request.size_limit, algorithm=request.algorithm
         )
         rows = tuple(
             CompareRow(
@@ -829,7 +788,7 @@ class SearchService:
         # bucket ordering now, while this thread is still the sole owner,
         # instead of letting the first reader lookup mutate shared tables.
         corpus.finalize()
-        generation = _Generation(corpus, self._cache_size, self._cache_max_results)
+        generation = _Generation(corpus, self._cache_size)
         with self._lock:
             self._generation = generation
             self._changes.extend(entries)

@@ -268,22 +268,30 @@ class XMLNode:
         Labels are assigned in a single pass (each node's label is derived
         from its already-copied parent), avoiding the repeated subtree
         relabelling that per-child :meth:`append_child` calls would cost.
+        Every served search result is one such copy, so the loop fills the
+        slots directly: the source tree is valid, and ``__init__``'s checks
+        and label construction would only repeat work per node.
         """
-        clone = XMLNode(tag=self.tag, text=self.text, attributes=dict(self.attributes), kind=self.kind)
+        new_node = XMLNode.__new__
+        derived_label = DeweyLabel._from_validated
+        clone = XMLNode(tag=self.tag, text=self.text, attributes=self.attributes, kind=self.kind)
         stack = [(self, clone)]
         while stack:
             source, target = stack.pop()
+            base = target.label.components
+            siblings = target.children
             for offset, child in enumerate(source.children):
-                child_clone = XMLNode(
-                    tag=child.tag,
-                    text=child.text,
-                    attributes=dict(child.attributes),
-                    kind=child.kind,
-                )
-                child_clone.parent = target
-                child_clone.label = target.label.child(offset)
-                target.children.append(child_clone)
-                stack.append((child, child_clone))
+                node = new_node(XMLNode)
+                node.tag = child.tag
+                node.text = child.text
+                node.attributes = dict(child.attributes)
+                node.kind = child.kind
+                node.parent = target
+                node.children = []
+                node.label = derived_label(base + (offset,))
+                siblings.append(node)
+                if child.children:
+                    stack.append((child, node))
         return clone
 
     def size(self) -> int:

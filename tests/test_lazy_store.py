@@ -9,13 +9,19 @@ inside a bounded LRU.  Shared round-trip helpers come from ``test_snapshot``.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from test_snapshot import assert_equivalent, ranked_signature, small_corpus, xml_trees
+from test_snapshot import (
+    assert_equivalent,
+    result_signature,
+    small_corpus,
+    xml_trees,
+)
 
 from repro.errors import (
     DocumentNotFoundError,
     SnapshotFormatError,
     StorageError,
 )
+from repro.search.engine import SearchEngine
 from repro.storage.corpus import Corpus
 from repro.storage.document_store import DocumentStore
 from repro.storage.lazy_store import (
@@ -33,6 +39,24 @@ def saved_path(corpus, tmp_path, name="c.snap", **save_kwargs):
     path = tmp_path / name
     corpus.save(path, **save_kwargs)
     return path
+
+
+def paged_signature(corpus, query, page_size=1):
+    """Walk a caching engine's ``search_page`` windows over the ranked list.
+
+    The first window ranks the query and caches its hits; every later window
+    is materialised from the cached hits, so on a lazy store with a tiny LRU
+    a document can be evicted and re-decoded between ranking and copying.
+    """
+    engine = SearchEngine(corpus)
+    pages = []
+    offset = 0
+    while True:
+        total, page = engine.search_page(query, offset, page_size)
+        pages.append((total, [result_signature(r) for r in page]))
+        offset += page_size
+        if offset >= total:
+            return pages
 
 
 def tree_signature(document):
@@ -100,6 +124,13 @@ class TestLazyEquivalence:
         assert_equivalent(corpus, lazy, queries)
         eager = Corpus.load(path, eager=True)
         assert_equivalent(corpus, eager, queries)
+        # Pages served from cached hits copy the same subtrees as a fresh
+        # build, also after the lazy LRU evicted their documents.
+        lazy = Corpus.load(path, max_materialised=1)
+        for query in queries:
+            expected = paged_signature(corpus, query)
+            assert paged_signature(lazy, query) == expected
+            assert paged_signature(eager, query) == expected
 
 
 # --------------------------------------------------------------------------- #

@@ -376,36 +376,6 @@ class TestSearchEngineCache:
         engine.search("gps")
         assert engine.cache_misses == 2
 
-    def test_cache_bounded_by_total_cached_results(self):
-        # Two single-result queries fit a budget of 2; forcing a third entry
-        # over the budget evicts the least recently used one ("gps"), while
-        # the entry-count bound alone (cache_size=128) would keep all three.
-        engine = SearchEngine(product_corpus(), cache_max_results=2)
-        assert len(engine.search("tomtom")) == 1
-        assert len(engine.search("garmin")) == 1
-        engine.search("nuvi")  # third single-result entry: evicts "tomtom"
-        engine.search("tomtom")  # miss — and evicts "garmin" in turn
-        assert engine.cache_misses == 4
-        engine.search("nuvi")  # the two most recent entries survived
-        engine.search("tomtom")
-        assert engine.cache_hits == 2
-
-    def test_oversized_result_list_is_not_cached(self):
-        # "gps" matches both products; with a budget of 1 the entry evicts
-        # itself immediately, so repeats are always misses — but the cache
-        # stays bounded instead of pinning an arbitrarily large ranked list.
-        engine = SearchEngine(product_corpus(), cache_max_results=1)
-        assert len(engine.search("gps")) == 2
-        engine.search("gps")
-        assert engine.cache_hits == 0
-        assert engine.cache_misses == 2
-
-    def test_unbounded_result_budget(self):
-        engine = SearchEngine(product_corpus(), cache_max_results=None)
-        engine.search("gps")
-        engine.search("gps")
-        assert engine.cache_hits == 1
-
 
 class TestSearchOnGeneratedCorpus:
     def test_tomtom_query_returns_products(self, product_engine):

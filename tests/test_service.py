@@ -24,11 +24,25 @@ from repro.search.semantics import (
 from repro.service.cursor import Cursor, decode_cursor, encode_cursor
 from repro.service.protocol import CompareRequest, SearchRequest
 from repro.service.service import SearchService
+from repro.xmlmodel.node import XMLNode
 
 
 @pytest.fixture
 def service(small_product_corpus):
     return SearchService(small_product_corpus, default_page_size=3)
+
+
+def count_subtree_copies(monkeypatch):
+    """Record every ``XMLNode.copy`` call; returns the list that grows."""
+    copies = []
+    original = XMLNode.copy
+
+    def counting_copy(node):
+        copies.append(node)
+        return original(node)
+
+    monkeypatch.setattr(XMLNode, "copy", counting_copy)
+    return copies
 
 
 class TestPagination:
@@ -160,21 +174,34 @@ class TestPagination:
 
     def test_pagination_clones_only_the_page(self, small_product_corpus, monkeypatch):
         # A page request must pay subtree copies proportional to the page,
-        # not to the full ranked list (the whole point of cursor pagination).
+        # not to the full ranked list (the whole point of cursor pagination):
+        # exactly one copy per served result, on the cold miss that ranks the
+        # list and on the cursor follow-up served from the cache alike.
         service = SearchService(small_product_corpus, default_page_size=1)
-        clones = []
-        original = SearchEngine._clone_result
-
-        def counting_clone(result):
-            clones.append(result)
-            return original(result)
-
-        monkeypatch.setattr(SearchEngine, "_clone_result", staticmethod(counting_clone))
+        copies = count_subtree_copies(monkeypatch)
         first = service.search(SearchRequest(query="gps", page_size=1))
         assert first.total > 1
-        assert len(clones) == 1
+        assert len(copies) == 1
         service.search(SearchRequest(cursor=first.next_cursor))  # page 2, size 1
-        assert len(clones) == 2
+        assert len(copies) == 2
+        assert service.stats()["cache"]["hits"] == 1
+
+    def test_compare_copies_only_the_compared_results(
+        self, small_product_corpus, monkeypatch
+    ):
+        service = SearchService(small_product_corpus)
+        assert service.search(SearchRequest(query="gps")).total > 2
+        copies = count_subtree_copies(monkeypatch)
+        response = service.compare(CompareRequest(query="gps", top=2))
+        assert len(response.results) == 2
+        assert len(copies) == 2
+        # Ticked ids resolve to their ranks: again one copy per result.
+        ids = ("R3", "R1")
+        response = service.compare(CompareRequest(query="gps", result_ids=ids))
+        assert response.column_ids == ids
+        assert len(copies) == 4
+        page = service.search(SearchRequest(query="gps", page_size=3)).items
+        assert response.results == (page[2], page[0])
 
     def test_engine_search_page(self, small_product_corpus):
         engine = SearchEngine(small_product_corpus)

@@ -8,8 +8,8 @@ assert:
 
 * every concurrent response is byte-identical to the serial baseline — no
   torn cache entries, no cross-semantics mixups, no partially-ranked lists;
-* the cache bounds (``cache_size`` entries, ``cache_max_results`` total
-  results) hold at every observation point, even under eviction churn.
+* the cache bound (``cache_size`` entries) holds at every observation
+  point, even under eviction churn.
 """
 
 import random
@@ -29,7 +29,6 @@ ITERATIONS = 25
 # Tight bounds so the hammer constantly evicts: 6 queries x 2 semantics
 # across two 4-entry caches cannot all stay resident.
 CACHE_SIZE = 4
-CACHE_MAX_RESULTS = 12
 
 
 def workload():
@@ -53,16 +52,12 @@ def serial_baseline(small_product_corpus):
 def test_hammered_service_matches_serial_evaluation(
     small_product_corpus, serial_baseline
 ):
-    service = SearchService(
-        small_product_corpus,
-        cache_size=CACHE_SIZE,
-        cache_max_results=CACHE_MAX_RESULTS,
-    )
+    service = SearchService(small_product_corpus, cache_size=CACHE_SIZE)
     bound_violations = []
 
     def check_bounds():
         for name, stats in service.stats()["engines"].items():
-            if stats["entries"] > CACHE_SIZE or stats["cached_results"] > CACHE_MAX_RESULTS:
+            if stats["entries"] > CACHE_SIZE:
                 bound_violations.append((name, stats))
 
     def hammer(seed: int) -> int:

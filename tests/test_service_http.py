@@ -574,6 +574,28 @@ class TestClientDisconnect:
         handler._handle(endpoint)  # 500 path writes to the dead socket
         assert handler.close_connection
 
+    def test_server_connections_disable_nagle(self, base_url, monkeypatch):
+        # The header and body writes of one response must not wait on the
+        # client's delayed ACK: the server side of every connection sets
+        # TCP_NODELAY.
+        import socket
+
+        from repro.service.http import _Handler
+
+        flags = []
+        original_setup = _Handler.setup
+
+        def recording_setup(handler):
+            original_setup(handler)
+            flags.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        status, _ = get_json(f"{base_url}/healthz")
+        assert status == 200
+        assert flags and all(flags)
+
     def test_server_survives_client_hangup(self, base_url, server):
         # Socket-level sanity: open a connection, send a request, hang up
         # without reading; the server must keep serving other clients.

@@ -20,6 +20,7 @@ from repro.storage.document_store import DocumentStore
 from repro.storage.snapshot import FORMAT_VERSION, read_snapshot_header
 from repro.xmlmodel.builder import TreeBuilder
 from repro.xmlmodel.parser import parse_xml
+from repro.xmlmodel.serializer import serialize
 
 
 PRODUCT_XML = (
@@ -44,12 +45,22 @@ def small_corpus() -> Corpus:
     return Corpus(store, name="tiny")
 
 
+def result_signature(result):
+    """Everything observable about one served result, subtree included."""
+    return (
+        result.result_id,
+        result.doc_id,
+        str(result.match_label),
+        str(result.return_label),
+        result.score,
+        result.title,
+        serialize(result.subtree),
+    )
+
+
 def ranked_signature(corpus: Corpus, query: str, semantics: str = "slca"):
     engine = SearchEngine(corpus, semantics=semantics, cache_size=0)
-    return [
-        (r.doc_id, str(r.match_label), str(r.return_label), r.score, r.title)
-        for r in engine.search(query)
-    ]
+    return [result_signature(r) for r in engine.search(query)]
 
 
 def assert_equivalent(original: Corpus, loaded: Corpus, queries) -> None:
