@@ -10,7 +10,8 @@ scratch:
   on Dewey-labelled posting lists.
 * :mod:`~repro.search.xseek` — XSeek-style return-node inference: given a match
   node, decide which surrounding subtree constitutes the *result* the user
-  should see (the entity subtree that contains the matches).
+  should see (the entity subtree that contains the matches), computed on the
+  structural index of :mod:`repro.structure`.
 * :mod:`~repro.search.ranking` — TF-IDF result ranking so result lists have a
   stable, relevance-flavoured order.
 * :mod:`~repro.search.structural` — :class:`StructuredQuery` (keywords plus
@@ -21,7 +22,7 @@ scratch:
   pipeline and by the experiments.
 """
 
-from repro.search.elca import compute_elca, compute_elca_scan
+from repro.search.elca import compute_elca
 from repro.search.engine import SearchEngine
 from repro.search.query import KeywordQuery
 from repro.search.ranking import rank_results, tf_idf_score
@@ -32,7 +33,7 @@ from repro.search.semantics import (
     register_semantics,
     unregister_semantics,
 )
-from repro.search.slca import compute_slca, compute_slca_merge, compute_slca_scan
+from repro.search.slca import compute_slca, compute_slca_merge
 from repro.search.structural import StructuredQuery, compute_slca_struct, parse_tag_path
 from repro.search.xseek import infer_return_subtree
 
@@ -43,9 +44,7 @@ __all__ = [
     "compute_slca",
     "compute_slca_struct",
     "compute_slca_merge",
-    "compute_slca_scan",
     "compute_elca",
-    "compute_elca_scan",
     "infer_return_subtree",
     "SearchResult",
     "SearchResultSet",

@@ -6,18 +6,27 @@ results comes out.  The pipeline is
 
 1. look up the posting list of every query keyword in the inverted index,
 2. compute SLCA (or ELCA) match nodes,
-3. infer the return subtree for each match with the XSeek rules,
+3. infer the return node for each match with the XSeek rules,
 4. deduplicate results that map to the same return node,
 5. rank the results and keep each as a
    :class:`~repro.search.result.RankedHit`: document id, match and return
-   labels, score and title, all read from the live return node in the corpus.
+   labels, and score.
 
-Nothing is copied until a caller is served: :meth:`SearchEngine.materialise`
+Steps 3–5 run on the corpus's structural index
+(:attr:`~repro.storage.corpus.Corpus.structure`: per-document
+pre/post/parent/tag arrays, restored from a snapshot or built once per
+document), the index's posting spans and the corpus statistics.  Evaluation
+therefore decodes no document tree: a match label maps to its ``pre`` number,
+XSeek climbs ``parent[]``, and a return subtree's size is ``end[r] - r``.
+
+Trees are read only for what is served.  :meth:`SearchEngine.materialise`
 builds :class:`~repro.search.result.SearchResult` objects, each with a
-detached copy of its return subtree, for the requested ranks only.  A page of
-``k`` results therefore costs ``k`` subtree copies whether its ranked list
-was just evaluated or came from the cache, and callers may annotate or prune
-what they are served without touching the corpus or the cache.
+detached copy of its return subtree and its title, for the requested ranks
+only, so a page of ``k`` results costs ``k`` subtree copies whether its
+ranked list was just evaluated or came from the cache, and callers may
+annotate or prune what they are served without touching the corpus or the
+cache.  The service's wire path copies nothing: it serialises the live
+return node of each served hit.
 
 Repeated queries are the dominant pattern under real traffic, so the engine
 keeps a small LRU cache of ranked hit lists keyed by the normalised query
@@ -42,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SearchError
 from repro.search.query import KeywordQuery
-from repro.search.ranking import rank_results
+from repro.search.ranking import Candidate, rank_results
 from repro.search.result import RankedHit, SearchResult, SearchResultSet
 from repro.search.semantics import (
     MatchContext,
@@ -51,15 +60,11 @@ from repro.search.semantics import (
     semantics_generation,
 )
 from repro.search.structural import StructuredQuery
-from repro.search.xseek import infer_return_subtree
+from repro.search.xseek import RepeatingTags, infer_return_subtree
 from repro.storage.corpus import Corpus
 from repro.storage.inverted_index import Posting
-from repro.xmlmodel.dewey import DeweyLabel
-from repro.xmlmodel.node import XMLNode
 
 __all__ = ["SearchEngine"]
-
-_TITLE_TAGS = ("name", "title", "brand_name", "product_name", "label")
 
 
 class SearchEngine:
@@ -251,12 +256,9 @@ class SearchEngine:
         matches = self._compute_matches(query)
         candidates = self._return_nodes(matches)
         # Index-assisted scoring: posting spans already know where every
-        # keyword occurs, so ranking never re-tokenises result subtrees (nor
-        # forces a lazy store to materialise anything beyond the results).
-        ranked = rank_results(candidates, query, self.corpus.statistics, index=self.corpus.index)
-        return tuple(
-            RankedHit(r.doc_id, r.match_label, r.return_label, r.score, r.title) for r in ranked
-        )
+        # keyword occurs, so ranking never re-tokenises result subtrees.
+        ranked = rank_results(candidates, query, self.corpus.statistics, self.corpus.index)
+        return tuple(RankedHit(c.doc_id, c.match_label, c.return_label, c.score) for c in ranked)
 
     def _compute_matches(self, query: KeywordQuery) -> List[Posting]:
         # Resolve postings through the *normalised* keyword view — the same
@@ -293,47 +295,27 @@ class SearchEngine:
             )
         return registration.fn(posting_lists)
 
-    def _return_nodes(self, matches: List[Posting]) -> List[SearchResult]:
+    def _return_nodes(self, matches: List[Posting]) -> List[Candidate]:
         """One scoring candidate per distinct return node, in match order.
 
-        Each candidate's ``subtree`` is the *live* return node in the corpus,
-        not a copy: ranking only counts its elements and the title only reads
-        it.  Candidates never leave :meth:`_evaluate`; they become hits.
+        Runs on the structural index only: each match label maps to its
+        ``pre`` number, XSeek infers the return node's ``pre``, and the
+        candidate carries that node's label and element count.
         """
-        seen_return_nodes: Set[Tuple[str, DeweyLabel]] = set()
-        results: List[SearchResult] = []
+        table = self.corpus.structure
+        repeating = RepeatingTags(self.corpus.statistics, table.tags)
+        seen: Set[Tuple[str, int]] = set()
+        candidates: List[Candidate] = []
         for match in matches:
-            document = self.corpus.store.get(match.doc_id)
-            match_node = document.node_at(match.label)
-            return_node = infer_return_subtree(match_node, self.corpus.statistics)
-            key = (match.doc_id, return_node.label)
-            if key in seen_return_nodes:
+            structure = table.get(match.doc_id)
+            pre = infer_return_subtree(structure, structure.pre_of(match.label), repeating)
+            key = (match.doc_id, pre)
+            if key in seen:
                 continue
-            seen_return_nodes.add(key)
-            results.append(
-                SearchResult(
-                    result_id="",
-                    doc_id=match.doc_id,
-                    match_label=match.label,
-                    return_label=return_node.label,
-                    subtree=return_node,
-                    title=self._result_title(return_node, match.doc_id),
+            seen.add(key)
+            candidates.append(
+                Candidate(
+                    match.doc_id, match.label, structure.labels[pre], structure.end[pre] - pre
                 )
             )
-        return results
-
-    @staticmethod
-    def _result_title(subtree: XMLNode, doc_id: str) -> str:
-        for tag in _TITLE_TAGS:
-            child = subtree.find_child(tag)
-            if child is not None:
-                text = child.text_content()
-                if text:
-                    return text
-        # Fall back to any descendant name-like node, then to the doc id.
-        for tag in _TITLE_TAGS:
-            for descendant in subtree.find_descendants(tag):
-                text = descendant.text_content()
-                if text:
-                    return text
-        return f"{doc_id}:{subtree.tag}"
+        return candidates

@@ -10,40 +10,58 @@ alone.
 The per-query work is resolved once, up front: :func:`query_idf_weights` turns
 the normalised keywords into a keyword→idf table (one statistics lookup per
 keyword per *query*, not per result), and the per-result pass counts keyword
-occurrences inside the result subtree.  Two counting strategies exist:
+occurrences inside the result subtree.  Two scorers exist:
 
-* **Index-assisted** (:func:`rank_results` with an ``index``): term frequency
-  is the number of the keyword's posting nodes — read from the inverted
-  index's per-document offset map, one slice per (keyword, document) — that
-  fall inside the returned subtree (descendant-or-self of the return label).
-  No node text is re-tokenised, and nothing beyond the result's own subtree
-  (the engine passes the live return node, uncopied) is touched, which keeps
-  scoring from faulting in unrelated documents on a lazily-loaded corpus.
-* **Tokenising fallback** (no ``index``, and :func:`tf_idf_score`): node
-  texts are tokenised by one batch
-  :func:`~repro.storage.tokenizer.tokenize_many` pass per node and non-query
-  tokens are discarded by a set probe.  This is the only option for detached
-  subtrees that no index covers.
+* **Index-assisted** (:func:`rank_results`): term frequency is the number of
+  the keyword's posting nodes — read from the inverted index's per-document
+  offset map, one slice per (keyword, document) — that fall inside the
+  returned subtree (descendant-or-self of the return label), and the size
+  normaliser is the candidate's element count, which the engine reads from the
+  structural index (``end[r] - r``).  Ranking therefore touches no document
+  tree at all.
+* **Tokenising** (:func:`tf_idf_score`): node texts of a subtree are
+  tokenised by one batch :func:`~repro.storage.tokenizer.tokenize_many` pass
+  per node and non-query tokens are discarded by a set probe.  This is the
+  only option for detached subtrees that no index covers.
 
-The strategies agree on which results score zero versus non-zero, but may
+The scorers agree on which results score zero versus non-zero, but may
 differ on multiplicity within a single node (the index posts a node once per
 term, however often the term repeats in that node's texts), so scores are
-comparable *within* one strategy, not across the two.
+comparable *within* one scorer, not across the two.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.search.query import KeywordQuery
-from repro.search.result import SearchResult
 from repro.storage.inverted_index import InvertedIndex
 from repro.storage.statistics import CorpusStatistics
 from repro.storage.tokenizer import tokenize_many
+from repro.xmlmodel.dewey import DeweyLabel
 from repro.xmlmodel.node import XMLNode
 
-__all__ = ["query_idf_weights", "tf_idf_score", "rank_results"]
+__all__ = ["Candidate", "query_idf_weights", "tf_idf_score", "rank_results"]
+
+
+class Candidate:
+    """One return node to rank, named by labels: no subtree, just its size.
+
+    ``size`` is the element count of the return subtree (the size
+    normaliser); :func:`rank_results` fills in ``score``.
+    """
+
+    __slots__ = ("doc_id", "match_label", "return_label", "size", "score")
+
+    def __init__(
+        self, doc_id: str, match_label: DeweyLabel, return_label: DeweyLabel, size: int
+    ) -> None:
+        self.doc_id = doc_id
+        self.match_label = match_label
+        self.return_label = return_label
+        self.size = size
+        self.score = 0.0
 
 
 def query_idf_weights(
@@ -119,9 +137,9 @@ def tf_idf_score(
 
 
 def _score_from_postings(
-    result: SearchResult, weights: Dict[str, float], index: InvertedIndex
+    candidate: Candidate, weights: Dict[str, float], index: InvertedIndex
 ) -> float:
-    """Score a result from the index's posting spans, without re-tokenising.
+    """Score a candidate from the index's posting spans, without re-tokenising.
 
     A keyword's term frequency is the number of its posting nodes inside the
     returned subtree, i.e. postings of ``(keyword, doc)`` whose label is a
@@ -129,40 +147,35 @@ def _score_from_postings(
     map makes the posting span one dictionary lookup plus a slice, so scoring
     cost tracks the number of *matching* nodes, not subtree size.
     """
-    return_label = result.return_label
+    return_label = candidate.return_label
     score = 0.0
     for keyword, idf in weights.items():
         term_frequency = 0
-        for posting in index.postings_for_document(keyword, result.doc_id):
+        for posting in index.postings_for_document(keyword, candidate.doc_id):
             if return_label.is_ancestor_or_self_of(posting.label):
                 term_frequency += 1
         if term_frequency:
             score += (1.0 + math.log(term_frequency)) * idf
-    normaliser = math.log(2 + result.subtree.count_elements())
+    normaliser = math.log(2 + candidate.size)
     return score / normaliser if normaliser else score
 
 
 def rank_results(
-    results: Sequence[SearchResult],
+    candidates: Sequence[Candidate],
     query: KeywordQuery,
     statistics: CorpusStatistics,
-    index: Optional[InvertedIndex] = None,
-) -> List[SearchResult]:
-    """Assign scores and return the results sorted by descending score.
+    index: InvertedIndex,
+) -> List[Candidate]:
+    """Assign scores and return the candidates sorted by descending score.
 
-    With ``index`` given (the corpus's inverted index — what the engine
-    passes), term frequencies come from posting spans instead of re-tokenising
-    every result subtree.  Without it, the tokenising fallback runs.  Ties are
-    broken by (document id, match label) so the ordering is total and
-    deterministic across runs.
+    Term frequencies come from the posting spans of ``index`` (the corpus's
+    inverted index).  Ties are broken by (document id, match label) so the
+    ordering is total and deterministic across runs.
     """
     weights = query_idf_weights(query, statistics)
-    for result in results:
-        if index is not None:
-            result.score = _score_from_postings(result, weights, index)
-        else:
-            result.score = _score_subtree(result.subtree, weights)
+    for candidate in candidates:
+        candidate.score = _score_from_postings(candidate, weights, index)
     return sorted(
-        results,
-        key=lambda result: (-result.score, result.doc_id, result.match_label),
+        candidates,
+        key=lambda candidate: (-candidate.score, candidate.doc_id, candidate.match_label),
     )

@@ -7,8 +7,11 @@ entity identifier, the feature extractor and the comparison table — to do
 their work and for the UI to link back to the source document.
 
 The engine ranks and caches :class:`RankedHit` labels, not results: a
-:class:`SearchResult` and its subtree copy exist only for the ranks a caller
-is served, built by :meth:`RankedHit.materialise`.
+:class:`SearchResult` and its subtree copy exist only for the ranks a Python
+caller or a comparison is served, built by :meth:`RankedHit.materialise`.
+The wire path serialises the live return node instead and copies nothing.
+Either way the display title is computed only for a served rank, by
+:func:`result_title`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,29 @@ from repro.xmlmodel.node import XMLNode
 if TYPE_CHECKING:
     from repro.storage.document_store import BaseDocumentStore
 
-__all__ = ["RankedHit", "SearchResult", "SearchResultSet"]
+__all__ = ["RankedHit", "SearchResult", "SearchResultSet", "result_title"]
+
+_TITLE_TAGS = ("name", "title", "brand_name", "product_name", "label")
+
+
+def result_title(subtree: XMLNode, doc_id: str) -> str:
+    """A short display name for a result: the first name-like text in it.
+
+    Direct children named like a title win, then any such descendant; a
+    subtree without one is named ``"{doc_id}:{tag}"``.
+    """
+    for tag in _TITLE_TAGS:
+        child = subtree.find_child(tag)
+        if child is not None:
+            text = child.text_content()
+            if text:
+                return text
+    for tag in _TITLE_TAGS:
+        for descendant in subtree.find_descendants(tag):
+            text = descendant.text_content()
+            if text:
+                return text
+    return f"{doc_id}:{subtree.tag}"
 
 
 @dataclass
@@ -48,7 +73,7 @@ class SearchResult:
         Ranking score (higher is better).
     title:
         A short human-readable name for the result (e.g. the product name),
-        filled in by the engine for display purposes.
+        see :func:`result_title`.
     """
 
     result_id: str
@@ -79,31 +104,32 @@ class RankedHit(NamedTuple):
 
     A hit names its return subtree by ``(doc_id, return_label)`` instead of
     holding a copy, so a cached ranked list costs a few small objects per
-    result however large the subtrees are.  Score and title are computed
-    once, when the query is evaluated.
+    result however large the subtrees are.  The score is computed once, when
+    the query is evaluated, from the structural index; nothing about a hit
+    needs its document's tree until the hit is served.
     """
 
     doc_id: str
     match_label: DeweyLabel
     return_label: DeweyLabel
     score: float
-    title: str
 
     def materialise(self, store: "BaseDocumentStore", rank: int) -> SearchResult:
         """Build the result served at ``rank``, with ``result_id`` ``"R{rank}"``.
 
-        The one place a result subtree is copied: the return node is looked
-        up in ``store`` (re-decoding the document if a lazy store evicted
-        it) and its subtree is detached with :meth:`XMLNode.copy`.
+        The one place a result subtree is copied: the live return node is
+        detached with :meth:`XMLNode.copy`, so the caller may annotate or
+        prune it without touching the corpus.
         """
+        node = store.node_at(self.doc_id, self.return_label)
         return SearchResult(
             result_id=f"R{rank}",
             doc_id=self.doc_id,
             match_label=self.match_label,
             return_label=self.return_label,
-            subtree=store.node_at(self.doc_id, self.return_label).copy(),
+            subtree=node.copy(),
             score=self.score,
-            title=self.title,
+            title=result_title(node, self.doc_id),
         )
 
 

@@ -6,7 +6,7 @@ keeps only the smallest such subtrees: an LCA match is an SLCA iff none of its
 descendants is also an LCA match.  SLCA is the result semantics used by XSeek
 and most XML keyword-search engines, and it is what feeds XSACT with results.
 
-Three algorithms are provided:
+Two algorithms are provided:
 
 * :func:`compute_slca` — the engine default.  Per document it dispatches
   between the two strategies below based on the posting-list shapes: when one
@@ -20,9 +20,9 @@ Three algorithms are provided:
   all posting lists merged in document order (see
   :mod:`repro.search.linear_merge`); ``O(N log N + N * d)`` for maximum label
   depth ``d``, independent of how the postings split across keywords.
-* :func:`compute_slca_scan` — a brute-force *scan eager* oracle.  It is
-  asymptotically worse but trivially correct, and the test suite uses it to
-  validate both fast algorithms.
+
+The test suite pins both against a brute-force scan oracle
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.search.linear_merge import collect_per_document, stack_merge_document
 from repro.storage.inverted_index import Posting
 from repro.xmlmodel.dewey import DeweyLabel
 
-__all__ = ["compute_slca", "compute_slca_merge", "compute_slca_scan"]
+__all__ = ["compute_slca", "compute_slca_merge"]
 
 
 def compute_slca(keyword_postings: Sequence[Sequence[Posting]]) -> List[Posting]:
@@ -140,37 +140,3 @@ def _remove_ancestors(postings: List[Posting]) -> List[Posting]:
 
 def _is_ancestor_posting(a: Posting, b: Posting) -> bool:
     return a.doc_id == b.doc_id and a.label.is_ancestor_of(b.label)
-
-
-def compute_slca_scan(keyword_postings: Sequence[Sequence[Posting]]) -> List[Posting]:
-    """Brute-force SLCA used as a correctness oracle in tests.
-
-    Enumerates every combination-free LCA candidate by intersecting ancestor
-    sets: a node is an LCA match iff for every keyword list some posting lies
-    in its subtree.  Quadratic in the posting sizes, so only suitable for small
-    corpora, but independent of the optimised algorithm's logic.
-    """
-    lists = [list(postings) for postings in keyword_postings]
-    if not lists or any(not postings for postings in lists):
-        return []
-
-    # Candidate LCAs: every ancestor-or-self of every posting of the first list.
-    candidates: set = set()
-    for posting in lists[0]:
-        candidates.add(posting)
-        for ancestor in posting.label.ancestors():
-            candidates.add(Posting(doc_id=posting.doc_id, label=ancestor))
-
-    def contains_keyword(candidate: Posting, postings: List[Posting]) -> bool:
-        return any(
-            posting.doc_id == candidate.doc_id
-            and candidate.label.is_ancestor_or_self_of(posting.label)
-            for posting in postings
-        )
-
-    lca_matches = [
-        candidate
-        for candidate in candidates
-        if all(contains_keyword(candidate, postings) for postings in lists)
-    ]
-    return _remove_ancestors(lca_matches)

@@ -21,9 +21,11 @@ same object:
 * **batch execution** — :meth:`SearchService.search_many` evaluates each
   distinct ``(normalised query, semantics)`` pair once per batch, even when
   the engine cache is disabled or already evicted the entry;
-* **copies only for what is served** — engines rank and cache label hits
-  (:class:`~repro.search.result.RankedHit`); a page or a comparison of ``k``
-  results copies exactly ``k`` result subtrees;
+* **trees only for what is served** — engines rank and cache label hits
+  (:class:`~repro.search.result.RankedHit`) computed from the structural
+  index without decoding documents; a search page of ``k`` results reads and
+  serialises ``k`` live return nodes and copies none, and a comparison of
+  ``k`` results copies exactly ``k`` subtrees;
 * thread safety throughout: the engine guards its cache internally, the
   service guards engine creation and its request counters, and everything
   else is read-only.
@@ -53,7 +55,7 @@ from repro.features.extractor import FeatureExtractor
 from repro.search.engine import SearchEngine
 from repro.search.query import KeywordQuery
 from repro.search.structural import StructuredQuery, parse_tag_path
-from repro.search.result import RankedHit, SearchResult, SearchResultSet
+from repro.search.result import RankedHit, SearchResult, SearchResultSet, result_title
 from repro.search.semantics import available_semantics, semantics_generation
 from repro.service.cursor import decode_cursor, encode_cursor
 from repro.service.protocol import (
@@ -72,6 +74,7 @@ from repro.service.protocol import (
     SearchResponse,
 )
 from repro.storage.corpus import Corpus
+from repro.storage.document_store import BaseDocumentStore
 from repro.xmlmodel.node import XMLNode
 from repro.xmlmodel.parser import parse_xml
 from repro.xmlmodel.serializer import serialize
@@ -341,9 +344,7 @@ class SearchService:
         results: List[SearchResult] = []
         for position, doc_id in enumerate(doc_ids, start=1):
             root = store.get(doc_id).root
-            hit = RankedHit(
-                doc_id, root.label, root.label, 0.0, SearchEngine._result_title(root, doc_id)
-            )
+            hit = RankedHit(doc_id, root.label, root.label, 0.0)
             results.append(hit.materialise(store, position))
         result_set = SearchResultSet(query=query, results=results)
         return self.compare_selected(result_set, size_limit=size_limit, algorithm=algorithm)
@@ -415,51 +416,47 @@ class SearchService:
         # generation swap cannot produce a torn page.
         generation = self._generation
 
-        def fetch(
-            query: KeywordQuery, semantics: str, offset: int, count: int
-        ) -> Tuple[int, List[SearchResult]]:
-            total, page = generation.engine_for(semantics).search_page(query, offset, count)
-            return total, page.results
+        def ranked(query: KeywordQuery, semantics: str) -> Sequence[RankedHit]:
+            return generation.engine_for(semantics).ranked_hits(query)
 
-        return self._paged_search(request, fetch, generation)
+        return self._paged_search(request, ranked, generation)
 
     def search_many(self, requests: Sequence[SearchRequest]) -> List[SearchResponse]:
         """Serve a batch of search requests.
 
         Each distinct ``(normalised query, semantics)`` pair in the batch is
         evaluated at most once, even with the engine cache disabled: the
-        batch memoises its ranked hits, and every request materialises only
-        its own window from them.
+        batch memoises its ranked hits, and every request serves only its own
+        window from them.
         """
         memo: Dict[Tuple[Tuple[str, ...], str], Sequence[RankedHit]] = {}
         # One generation for the whole batch: every response carries the same
         # corpus version and the memoised ranked lists stay coherent.
         generation = self._generation
 
-        def fetch(
-            query: KeywordQuery, semantics: str, offset: int, count: int
-        ) -> Tuple[int, List[SearchResult]]:
-            engine = generation.engine_for(semantics)
+        def ranked(query: KeywordQuery, semantics: str) -> Sequence[RankedHit]:
             pair = (query.cache_key, semantics)
             hits = memo.get(pair)
             if hits is None:
-                hits = memo[pair] = engine.ranked_hits(query)
-            return len(hits), engine.materialise(hits, offset, count)
+                hits = memo[pair] = generation.engine_for(semantics).ranked_hits(query)
+            return hits
 
-        return [self._paged_search(request, fetch, generation) for request in requests]
+        return [self._paged_search(request, ranked, generation) for request in requests]
 
     def _paged_search(
         self,
         request: SearchRequest,
-        fetch: Callable[[KeywordQuery, str, int, int], Tuple[int, List[SearchResult]]],
+        ranked: Callable[[KeywordQuery, str], Sequence[RankedHit]],
         generation: _Generation,
     ) -> SearchResponse:
         """Shared pagination core of :meth:`search` and :meth:`search_many`.
 
         ``generation`` is the serving generation the caller captured (and
-        whose engines ``fetch`` evaluates on); generation-swap writes never
+        whose engines ``ranked`` evaluates on); generation-swap writes never
         touch it, so the version read below can only move when the *served*
         corpus itself is mutated in place (out-of-band library callers).
+        The page's items serialise the live return nodes of that
+        generation's store: nothing is copied.
         """
         with self._lock:
             self._search_count += 1
@@ -561,7 +558,8 @@ class SearchService:
             )
         page_size = min(page_size, self.max_page_size)
 
-        total, page = fetch(query, semantics, offset, page_size)
+        hits = ranked(query, semantics)
+        total = len(hits)
         if request.cursor is not None and generation.corpus.version != version:
             # The corpus mutated between the staleness check and evaluation;
             # this page was sliced from a post-mutation ranked list with a
@@ -593,12 +591,17 @@ class SearchService:
                 axis=constrained.axis if constrained is not None else None,
                 axis_tag=constrained.axis_tag if constrained is not None else None,
             )
+        store = generation.corpus.store
+        window = hits[offset:next_offset]
         return SearchResponse(
             query=str(query),
             semantics=semantics,
             total=total,
             offset=offset,
-            items=tuple(self._result_item(result) for result in page),
+            items=tuple(
+                self._served_item(store, hit, rank)
+                for rank, hit in enumerate(window, start=offset + 1)
+            ),
             next_cursor=next_cursor,
             corpus_version=version,
         )
@@ -908,6 +911,10 @@ class SearchService:
         over all semantics, and the document-store backend counters — for a
         lazily-loaded corpus those are the materialised/evicted/decoded
         figures operators watch to size ``max_materialised``.
+        ``corpus.structure`` reports where the per-document structural
+        indexes came from: ``restored`` from the snapshot, or ``computed`` by
+        walking a decoded tree — the fallback for snapshots without a
+        structural section, after a refresh, and for ingested documents.
         """
         generation = self._generation
         with self._lock:
@@ -936,6 +943,7 @@ class SearchService:
                 "documents": len(corpus.store),
                 "version": corpus.version,
                 "store": corpus.store.stats(),
+                "structure": corpus.structure.stats(),
             },
             "requests": {
                 "search": search_count,
@@ -952,6 +960,22 @@ class SearchService:
     # ------------------------------------------------------------------ #
     # Serialisation
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def _served_item(store: BaseDocumentStore, hit: RankedHit, rank: int) -> ResultItem:
+        """The wire item for ``hit`` at ``rank``, serialised from its live
+        return node: read, never copied or edited.  A lazy store decodes the
+        document here if it is not resident."""
+        node = store.node_at(hit.doc_id, hit.return_label)
+        return ResultItem(
+            result_id=f"R{rank}",
+            doc_id=hit.doc_id,
+            title=result_title(node, hit.doc_id),
+            score=float(hit.score),
+            match_label=str(hit.match_label),
+            return_label=str(hit.return_label),
+            subtree_xml=serialize(node),
+        )
+
     @staticmethod
     def _result_item(result: SearchResult) -> ResultItem:
         return ResultItem(

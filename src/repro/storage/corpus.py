@@ -43,9 +43,9 @@ class Corpus:
         self.dictionary = TermDictionary()
         self.index = InvertedIndex.build(store, dictionary=self.dictionary)
         self.statistics = CorpusStatistics.build(store, dictionary=self.dictionary)
-        # Lazily populated: documents are structurally indexed on the first
-        # structured query that touches them, so pure keyword workloads never
-        # pay for the encoding (see repro.structure).
+        # Populated per document on first use: every query evaluates on the
+        # structural index (XSeek, result sizes), so a document is encoded
+        # the first time a match lands in it (see repro.structure).
         self.structure = StructuralTable(self._document_root)
         self.version = 0
 
@@ -88,7 +88,8 @@ class Corpus:
         store.  The parts must share ``dictionary``, as a normal construction
         would guarantee.  ``structure`` carries a snapshot's persisted
         structural table; ``None`` (older files, v1 files) attaches an empty
-        lazy table that recomputes per document on first structural access.
+        table that computes each document's structure from its decoded tree
+        on first access.
         """
         corpus = cls.__new__(cls)
         corpus.name = name
@@ -284,8 +285,8 @@ class Corpus:
         self.dictionary = TermDictionary()
         self.index = InvertedIndex.build(self.store, dictionary=self.dictionary)
         self.statistics = CorpusStatistics.build(self.store, dictionary=self.dictionary)
-        # Structural indexes derive from the store too: start a fresh lazy
-        # table so edited trees cannot serve stale pre/post windows.
+        # Structural indexes derive from the store too: start a fresh table
+        # so edited trees cannot serve stale pre/post windows.
         self.structure = StructuralTable(self._document_root)
         self.version += 1
 

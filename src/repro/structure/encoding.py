@@ -27,8 +27,8 @@ Dewey label table alone*.  The labels arrive in pre-order (document order), so
 pass over the depths reconstructs ``parent``, ``post`` and the subtree
 windows in ``O(n)``.  Snapshots therefore persist only the tag dictionary and
 per-document tag-id arrays (see :mod:`repro.storage.snapshot`); the rest is
-recomputed from the label tables that v2 files already store eagerly, keeping
-lazy corpora lazy.
+recomputed from the label tables that v2 files already store eagerly, so a
+lazily-loaded corpus gets every document's structure without decoding one.
 """
 
 from __future__ import annotations

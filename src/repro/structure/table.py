@@ -1,16 +1,18 @@
 """Corpus-level registry of per-document structural indexes.
 
 A :class:`StructuralTable` hangs off every
-:class:`~repro.storage.corpus.Corpus`.  It is *lazy by default*: a fresh
-build or an old snapshot starts with an empty cache and a loader that
-fetches the document root on first structural access, so corpora that
-never see a structured query never pay the indexing cost and lazily-loaded
-stores only materialise the documents that matches actually land in.
+:class:`~repro.storage.corpus.Corpus`, and every query is evaluated on it
+(XSeek return nodes and result sizes, see :mod:`repro.search.xseek`).
 
 Snapshots with a persisted structural section restore through
-:meth:`StructuralTable.restore` instead: the per-document encodings arrive
-pre-computed (derived from the label tables plus the stored tag arrays) and
-the loader is kept only for documents added after the load.
+:meth:`StructuralTable.restore`: the per-document encodings arrive
+pre-computed (derived from the label tables plus the stored tag arrays), so
+evaluating a query decodes no document.  Everywhere else — a fresh build, a
+snapshot without the section, a corpus after ``refresh``, documents added
+after a load — the table starts empty and its loader fetches a document's
+root on first access; on a lazy store that decodes the document once.
+:meth:`StructuralTable.stats` counts both origins (``restored`` and
+``computed``), and ``GET /stats`` serves them as ``corpus.structure``.
 """
 
 from __future__ import annotations

@@ -137,20 +137,20 @@ class TestIngestEndToEnd:
         # version stamp — even though the swap happened mid-request.
         service = writable_service
         engine = service.engine_for("slca")
-        original = type(engine).search_page
+        original = type(engine).ranked_hits
         mutated = threading.Event()
 
-        def mutate_then_search(self_engine, query, offset, count):
+        def mutate_then_rank(self_engine, query):
             if not mutated.is_set():
                 mutated.set()
                 service.ingest(IngestRequest(doc_id="mid", xml=product_xml(55)))
-            return original(self_engine, query, offset, count)
+            return original(self_engine, query)
 
         try:
-            type(engine).search_page = mutate_then_search
+            type(engine).ranked_hits = mutate_then_rank
             response = service.search(SearchRequest(query="widget", page_size=50))
         finally:
-            type(engine).search_page = original
+            type(engine).ranked_hits = original
         assert mutated.is_set()
         # Served from the pre-mutation generation in full.
         assert response.corpus_version == 0

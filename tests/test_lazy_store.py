@@ -9,6 +9,7 @@ inside a bounded LRU.  Shared round-trip helpers come from ``test_snapshot``.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_service import count_subtree_copies
 from test_snapshot import (
     assert_equivalent,
     result_signature,
@@ -22,6 +23,8 @@ from repro.errors import (
     StorageError,
 )
 from repro.search.engine import SearchEngine
+from repro.service.protocol import SearchRequest
+from repro.service.service import SearchService
 from repro.storage.corpus import Corpus
 from repro.storage.document_store import DocumentStore
 from repro.storage.lazy_store import (
@@ -131,6 +134,49 @@ class TestLazyEquivalence:
             expected = paged_signature(corpus, query)
             assert paged_signature(lazy, query) == expected
             assert paged_signature(eager, query) == expected
+
+
+# --------------------------------------------------------------------------- #
+# Evaluation runs on the structural index: documents decode only when served
+# --------------------------------------------------------------------------- #
+BROAD_QUERIES = ["movie", "actor", "drama war"]
+
+
+@pytest.fixture(scope="module")
+def imdb_snapshot(small_imdb_corpus, tmp_path_factory):
+    return saved_path(small_imdb_corpus, tmp_path_factory.mktemp("imdb"))
+
+
+class TestEvaluationDecodesNothing:
+    @pytest.mark.parametrize("semantics", ["slca", "elca"])
+    def test_ranking_decodes_no_document(self, small_imdb_corpus, imdb_snapshot, semantics):
+        lazy = Corpus.load(imdb_snapshot, max_materialised=1)
+        engine = SearchEngine(lazy, semantics=semantics, cache_size=0)
+        fresh = SearchEngine(small_imdb_corpus, semantics=semantics, cache_size=0)
+        # "movie" ranks one hit per document: every document is touched.
+        assert len(engine.ranked_hits("movie")) == len(lazy.store)
+        for query in BROAD_QUERIES:
+            hits = engine.ranked_hits(query)
+            assert hits and hits == fresh.ranked_hits(query)
+        assert lazy.store.stats()["decodes"] == 0
+        # Every structure came from the snapshot; none was rebuilt by decoding.
+        assert lazy.structure.stats()["computed"] == 0
+
+    def test_search_page_decodes_at_most_its_items_and_copies_none(
+        self, imdb_snapshot, monkeypatch
+    ):
+        lazy = Corpus.load(imdb_snapshot, max_materialised=1)
+        service = SearchService(lazy)
+        copies = count_subtree_copies(monkeypatch)
+        served = 0
+        for query in BROAD_QUERIES:
+            response = service.search(SearchRequest(query=query, page_size=4))
+            served += len(response.items)
+            response = service.search(SearchRequest(cursor=response.next_cursor))
+            served += len(response.items)
+            assert lazy.store.stats()["decodes"] <= served
+        assert served == 4 * 2 * len(BROAD_QUERIES)
+        assert copies == []
 
 
 # --------------------------------------------------------------------------- #

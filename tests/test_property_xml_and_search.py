@@ -2,11 +2,20 @@
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import (
+    compute_elca_scan,
+    compute_slca_scan,
+    tree_infer_return_subtree,
+    tree_is_entity_node,
+)
+from repro.search.xseek import RepeatingTags, infer_return_subtree, is_entity_node
 from repro.storage.document_store import DocumentStore
 from repro.storage.inverted_index import InvertedIndex, Posting
+from repro.storage.statistics import CorpusStatistics
 from repro.storage.tokenizer import _TOKEN_PATTERN, _split_tokens, tokenize
-from repro.search.elca import compute_elca, compute_elca_scan
-from repro.search.slca import compute_slca, compute_slca_merge, compute_slca_scan
+from repro.structure.encoding import DocumentStructure, TagDictionary
+from repro.search.elca import compute_elca
+from repro.search.slca import compute_slca, compute_slca_merge
 from repro.xmlmodel.builder import TreeBuilder
 from repro.xmlmodel.dewey import DeweyLabel, common_ancestor_label
 from repro.xmlmodel.parser import parse_xml
@@ -235,3 +244,37 @@ class TestSearchAlgorithmsOnRandomCorpora:
         index, keywords = corpus_and_keywords
         for postings in index.keyword_node_lists(keywords):
             assert postings == sorted(postings)
+
+
+# --------------------------------------------------------------------------- #
+# XSeek: structural inference vs the tree walk
+# --------------------------------------------------------------------------- #
+class TestStructuralXseekDifferential:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(xml_trees(max_depth=5), min_size=1, max_size=3),
+        st.booleans(),
+        st.integers(min_value=0, max_value=7),
+    )
+    def test_structural_xseek_matches_tree_walk(self, trees, with_statistics, max_climb):
+        # Every element of every document is tried as the match, the root
+        # included, at the climb-window edges 0 and 1, a drawn window and the
+        # engine default.  One RepeatingTags memo spans the documents, as it
+        # spans one evaluation in the engine.
+        statistics = None
+        if with_statistics:
+            statistics = CorpusStatistics()
+            for tree in trees:
+                statistics.add_document(tree)
+        tags = TagDictionary()
+        repeating = RepeatingTags(statistics, tags)
+        for tree in trees:
+            structure = DocumentStructure.from_tree(tree, tags)
+            for pre, node in enumerate(tree.iter_elements()):
+                assert is_entity_node(structure, pre, repeating) == tree_is_entity_node(
+                    node, statistics
+                )
+                for climb in (0, 1, max_climb, 10):
+                    expected = tree_infer_return_subtree(node, statistics, climb)
+                    inferred = infer_return_subtree(structure, pre, repeating, climb)
+                    assert structure.labels[inferred] == expected.label

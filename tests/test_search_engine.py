@@ -5,12 +5,13 @@ import pytest
 from repro.errors import SearchError
 from repro.search.engine import SearchEngine
 from repro.search.query import KeywordQuery
-from repro.search.ranking import rank_results, tf_idf_score
-from repro.search.result import SearchResult, SearchResultSet
-from repro.search.xseek import infer_return_subtree, is_entity_node
+from repro.search.ranking import Candidate, rank_results, tf_idf_score
+from repro.search.result import SearchResultSet, result_title
+from repro.search.xseek import RepeatingTags, infer_return_subtree, is_entity_node
 from repro.storage.corpus import Corpus
 from repro.storage.document_store import DocumentStore
 from repro.storage.statistics import CorpusStatistics
+from repro.structure.encoding import DocumentStructure, TagDictionary
 from repro.xmlmodel.dewey import DeweyLabel
 from repro.xmlmodel.parser import parse_xml
 
@@ -37,49 +38,67 @@ def product_corpus() -> Corpus:
     return Corpus(store, name="tiny")
 
 
+def xseek(tree, match, statistics, max_climb=10):
+    """Structural XSeek over ``tree``'s encoding, mapped back to a node."""
+    tags = TagDictionary()
+    structure = DocumentStructure.from_tree(tree, tags)
+    pre = infer_return_subtree(
+        structure, structure.pre_of(match.label), RepeatingTags(statistics, tags), max_climb
+    )
+    return tree.node_at(structure.labels[pre])
+
+
+def is_entity(tree, node, statistics):
+    tags = TagDictionary()
+    structure = DocumentStructure.from_tree(tree, tags)
+    return is_entity_node(
+        structure, structure.pre_of(node.label), RepeatingTags(statistics, tags)
+    )
+
+
 class TestXseekInference:
     def test_leaf_is_not_entity(self):
         tree = parse_xml(PRODUCT_XML)
         stats = CorpusStatistics()
         stats.add_document(tree)
-        assert not is_entity_node(tree.find_child("name"), stats)
+        assert not is_entity(tree, tree.find_child("name"), stats)
 
     def test_repeating_node_is_entity(self):
         tree = parse_xml(PRODUCT_XML)
         stats = CorpusStatistics()
         stats.add_document(tree)
         review = tree.find_child("reviews").children[0]
-        assert is_entity_node(review, stats)
+        assert is_entity(tree, review, stats)
 
     def test_root_with_structured_children_is_entity(self):
         tree = parse_xml(PRODUCT_XML)
-        assert is_entity_node(tree, None)
+        assert is_entity(tree, tree, None)
 
     def test_return_subtree_climbs_to_entity(self):
         tree = parse_xml(PRODUCT_XML)
         stats = CorpusStatistics()
         stats.add_document(tree)
         name_leaf = tree.find_child("name")
-        assert infer_return_subtree(name_leaf, stats) is tree
+        assert xseek(tree, name_leaf, stats) is tree
 
     def test_return_subtree_stops_at_nested_entity(self):
         tree = parse_xml(PRODUCT_XML)
         stats = CorpusStatistics()
         stats.add_document(tree)
         rating = tree.find_descendants("review_rating")[0]
-        inferred = infer_return_subtree(rating, stats)
+        inferred = xseek(tree, rating, stats)
         assert inferred.tag == "review"
 
     def test_return_subtree_without_statistics_still_returns_displayable_node(self):
         tree = parse_xml("<a><b><c>x y</c></b></a>")
         leaf = tree.find_descendants("c")[0]
-        inferred = infer_return_subtree(leaf, None)
+        inferred = xseek(tree, leaf, None)
         assert inferred.tag in {"a", "b", "c"}
 
     def test_max_climb_bound(self):
         tree = parse_xml("<a><b><c><d><e>x</e></d></c></b></a>")
         leaf = tree.find_descendants("e")[0]
-        inferred = infer_return_subtree(leaf, None, max_climb=1)
+        inferred = xseek(tree, leaf, None, max_climb=1)
         assert inferred.tag in {"d", "e"}
 
     def test_fallback_returns_highest_non_root_ancestor(self):
@@ -89,7 +108,7 @@ class TestXseekInference:
         # match node — a chain-shaped document used to get just the leaf back.
         tree = parse_xml("<a><b><c>x y</c></b></a>")
         leaf = tree.find_descendants("c")[0]
-        inferred = infer_return_subtree(leaf, None)
+        inferred = xseek(tree, leaf, None)
         assert inferred.tag == "b"
 
     def test_fallback_chain_with_statistics(self):
@@ -98,19 +117,36 @@ class TestXseekInference:
         tree = parse_xml("<a><b><c>x y</c></b></a>")
         stats = CorpusStatistics()
         stats.add_document(tree)
-        inferred = infer_return_subtree(tree.find_descendants("c")[0], stats)
+        inferred = xseek(tree, tree.find_descendants("c")[0], stats)
         assert inferred.tag == "b"
 
     def test_fallback_when_match_is_the_root(self):
         tree = parse_xml("<a>x y</a>")
-        assert infer_return_subtree(tree, None) is tree
+        assert xseek(tree, tree, None) is tree
 
     def test_fallback_respects_climb_window_on_deep_chain(self):
         # The "highest non-root" rule only applies within the climb window:
         # from <f>, one climb reaches <e>, never higher.
         tree = parse_xml("<a><b><c><d><e><f>x</f></e></d></c></b></a>")
         leaf = tree.find_descendants("f")[0]
-        assert infer_return_subtree(leaf, None, max_climb=1).tag == "e"
+        assert xseek(tree, leaf, None, max_climb=1).tag == "e"
+
+    def test_repeating_test_is_memoised_per_tag(self):
+        # tag_is_repeating scans every path summary of a tag, so one
+        # evaluation asks the statistics once per distinct tag.
+        tree = parse_xml(PRODUCT_XML)
+        stats = CorpusStatistics()
+        stats.add_document(tree)
+        asked = []
+        original = stats.tag_is_repeating
+        stats.tag_is_repeating = lambda tag: asked.append(tag) or original(tag)
+        tags = TagDictionary()
+        structure = DocumentStructure.from_tree(tree, tags)
+        repeating = RepeatingTags(stats, tags)
+        for pre in range(len(structure)):
+            infer_return_subtree(structure, pre, repeating)
+        assert sorted(asked) == sorted(set(asked))
+        assert "review" in asked
 
 
 class TestRanking:
@@ -126,18 +162,13 @@ class TestRanking:
     def test_rank_results_orders_by_score_then_id(self):
         corpus = product_corpus()
         query = KeywordQuery.parse("gps")
-        results = [
-            SearchResult(
-                result_id="",
-                doc_id=doc_id,
-                match_label=DeweyLabel.root(),
-                return_label=DeweyLabel.root(),
-                subtree=corpus.store.get(doc_id).root.copy(),
-            )
+        root = DeweyLabel.root()
+        candidates = [
+            Candidate(doc_id, root, root, corpus.store.get(doc_id).root.count_elements())
             for doc_id in ("p2", "p1")
         ]
-        ranked = rank_results(results, query, corpus.statistics)
-        assert [result.doc_id for result in ranked] in (["p1", "p2"], ["p2", "p1"])
+        ranked = rank_results(candidates, query, corpus.statistics, corpus.index)
+        assert [candidate.doc_id for candidate in ranked] in (["p1", "p2"], ["p2", "p1"])
         assert ranked[0].score >= ranked[1].score
 
 
@@ -240,11 +271,11 @@ class TestResultTitleFallback:
             "<products><entry><name></name></entry>"
             "<entry><name>Alpha</name></entry></products>"
         )
-        assert SearchEngine._result_title(subtree, "d") == "Alpha"
+        assert result_title(subtree, "d") == "Alpha"
 
     def test_doc_id_fallback_when_no_title_text_anywhere(self):
         subtree = parse_xml("<products><entry><name></name></entry></products>")
-        assert SearchEngine._result_title(subtree, "d") == "d:products"
+        assert result_title(subtree, "d") == "d:products"
 
 
 class TestSearchEngineCache:

@@ -130,14 +130,14 @@ class TestPagination:
         # post-mutation ranked list.
         service = SearchService(small_product_corpus, default_page_size=1)
         first = service.search(SearchRequest(query="gps", page_size=1))
-        original = SearchEngine.search_page
+        original = SearchEngine.ranked_hits
 
-        def mutating_search_page(engine, query, offset, count):
-            result = original(engine, query, offset, count)
+        def mutating_ranked_hits(engine, query):
+            result = original(engine, query)
             small_product_corpus.version += 1  # simulated concurrent mutation
             return result
 
-        monkeypatch.setattr(SearchEngine, "search_page", mutating_search_page)
+        monkeypatch.setattr(SearchEngine, "ranked_hits", mutating_ranked_hits)
         try:
             with pytest.raises(InvalidCursorError, match="mutated during pagination"):
                 service.search(SearchRequest(cursor=first.next_cursor))
@@ -173,18 +173,25 @@ class TestPagination:
         assert len(resized.items) == 2
 
     def test_pagination_clones_only_the_page(self, small_product_corpus, monkeypatch):
-        # A page request must pay subtree copies proportional to the page,
-        # not to the full ranked list (the whole point of cursor pagination):
-        # exactly one copy per served result, on the cold miss that ranks the
-        # list and on the cursor follow-up served from the cache alike.
+        # A wire page serialises the live return nodes of the hits it serves
+        # and copies no subtree at all, on the cold miss that ranks the list
+        # and on the cursor follow-up served from the cache alike.  The Python
+        # API keeps its detached copies: one per served result.
         service = SearchService(small_product_corpus, default_page_size=1)
         copies = count_subtree_copies(monkeypatch)
         first = service.search(SearchRequest(query="gps", page_size=1))
         assert first.total > 1
-        assert len(copies) == 1
+        assert len(copies) == 0
         service.search(SearchRequest(cursor=first.next_cursor))  # page 2, size 1
-        assert len(copies) == 2
+        assert len(copies) == 0
         assert service.stats()["cache"]["hits"] == 1
+        page = service.engine_for("slca").search_page("gps", offset=0, count=2)[1]
+        assert len(copies) == 2
+        # Serialising the live node is byte-identical to serialising a copy.
+        assert [SearchService._result_item(result) for result in page] == [
+            *first.items,
+            *service.search(SearchRequest(cursor=first.next_cursor)).items,
+        ]
 
     def test_compare_copies_only_the_compared_results(
         self, small_product_corpus, monkeypatch

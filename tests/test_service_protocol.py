@@ -302,7 +302,8 @@ GOLDEN_CHANGE_FEED_RESPONSE = (
 
 GOLDEN_CORPUS_STATS = (
     '{"documents": 6, "name": "fixed", "store": '
-    '{"backend": "eager", "documents": 6}, "version": 0}'
+    '{"backend": "eager", "documents": 6}, "structure": '
+    '{"computed": 0, "documents": 0, "restored": 0, "tags": 0}, "version": 0}'
 )
 
 

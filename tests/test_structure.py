@@ -35,7 +35,7 @@ from repro.search.query import KeywordQuery
 from repro.search.semantics import MatchContext
 from repro.search.structural import StructuredQuery, compute_slca_struct, parse_tag_path
 from repro.service.cursor import decode_cursor, encode_cursor
-from repro.service.protocol import SearchRequest
+from repro.service.protocol import IngestRequest, SearchRequest
 from repro.service.service import SearchService
 from repro.storage.corpus import Corpus
 from repro.storage.document_store import DocumentStore
@@ -672,6 +672,46 @@ class TestSnapshotStructure:
         assert "doc-d" in {result.doc_id for result in results}
         stats = loaded.structure.stats()
         assert stats["computed"] >= 1  # only the new document was computed
+
+
+class TestStructureFallbackInStats:
+    """`/stats` `corpus.structure` shows which tables were rebuilt from trees."""
+
+    @staticmethod
+    def structure_stats(service):
+        return service.stats()["corpus"]["structure"]
+
+    def test_v2_snapshot_serves_keyword_search_from_restored_tables(self, tmp_path):
+        corpus = struct_corpus()
+        path = tmp_path / "s.snap"
+        save_corpus(corpus, path)
+        service = SearchService(Corpus.load(path, max_materialised=1))
+        assert service.search(SearchRequest(query="gps")).total > 0
+        stats = self.structure_stats(service)
+        assert stats["restored"] == len(corpus.store)
+        assert stats["computed"] == 0
+
+    def test_sectionless_snapshot_refresh_and_ingest_rebuild_from_trees(self, tmp_path):
+        corpus = struct_corpus()
+        path = tmp_path / "v1.snap"
+        save_corpus(corpus, path, format=1)
+        loaded = Corpus.load(path)
+        service = SearchService(loaded, writable=True)
+        matched = {item.doc_id for item in service.search(SearchRequest(query="gps")).items}
+        stats = self.structure_stats(service)
+        assert stats["restored"] == 0
+        assert stats["computed"] == len(matched)
+        # An ingested document has no persisted table: computed on first use.
+        service.ingest(
+            IngestRequest(doc_id="doc-d", xml="<product><name>delta gps</name></product>")
+        )
+        service.search(SearchRequest(query="delta"))
+        assert self.structure_stats(service)["computed"] == len(matched) + 1
+        # A refresh starts an empty table; the next search rebuilds again.
+        service.corpus.refresh()
+        assert self.structure_stats(service)["computed"] == 0
+        service.search(SearchRequest(query="delta"))
+        assert self.structure_stats(service)["computed"] == 1
 
 
 # --------------------------------------------------------------------------- #
